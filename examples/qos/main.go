@@ -166,7 +166,7 @@ func heteroStudy(model *updlrm.Model, profile *updlrm.Trace, live []updlrm.Sampl
 	base := updlrm.DefaultEngineConfig()
 	base.TotalDPUs = 64
 	mk := func(m updlrm.PartitionMethod) updlrm.EngineConfig {
-		cfg := base.Clone()
+		cfg := base
 		cfg.Method = m
 		return cfg
 	}

@@ -36,9 +36,8 @@ type Backend struct {
 	// locally: shrink the cache at High, freeze arena growth at
 	// Critical. Backends never shed admission — that is the class-aware
 	// frontend/serve tier's job.
-	gov          *governor.Governor
-	cache        *hotcache.Cache
-	origCacheCap int64
+	gov   *governor.Governor
+	cache *hotcache.Cache
 }
 
 // sliceTable is an emt.Table view over non-contiguous row spans of a
@@ -155,7 +154,7 @@ func NewBackend(model *dlrm.Model, profile *trace.Trace, ecfg core.Config, cfg C
 	// Engine config: per-table DPU share preserved, plan inputs pinned
 	// to the deployment-wide values, dense pool minimal (RunEmbeddings
 	// never forwards), per-backend hot cache via the shared helper.
-	bcfg := ecfg.Clone()
+	bcfg := ecfg
 	bcfg.TotalDPUs = ecfg.TotalDPUs / globalTables * len(nv.tables)
 	bcfg.PlanTables = globalTables
 	bcfg.PlanAvgReduction = profile.AvgReduction()
@@ -189,43 +188,13 @@ func (b *Backend) initGovernor(cfg governor.Config) error {
 		return err
 	}
 	b.gov = gov
-	b.origCacheCap = b.cache.CapacityBytes()
 	gov.Track("hotcache", b.cache.SizeBytes)
 	gov.Track("arena", b.eng.ArenaBytes)
-	highFrac := cfg.HighFrac
-	if highFrac <= 0 {
-		highFrac = governor.DefaultHighFrac
-	}
-	criticalFrac := cfg.CriticalFrac
-	if criticalFrac <= 0 {
-		criticalFrac = governor.DefaultCriticalFrac
-	}
-	gov.AddStep("shrink-cache", highFrac, func(pressure float64) {
-		if b.cache == nil {
-			return
-		}
-		over := int64((pressure - highFrac) * float64(gov.BudgetBytes()))
-		target := b.cache.CapacityBytes() - over
-		if floor := b.origCacheCap / 8; target < floor {
-			target = floor
-		}
-		if target < b.cache.CapacityBytes() {
-			b.cache.Resize(target)
-		}
-	}, func() {
-		if b.cache != nil {
-			b.cache.Resize(b.origCacheCap)
-		}
-	})
-	gov.AddStep("cap-arena", criticalFrac, func(float64) {
-		limit := b.eng.ArenaBytes()
-		if limit < 1 {
-			limit = 1
-		}
-		b.eng.SetArenaCap(limit)
-	}, func() {
-		b.eng.SetArenaCap(0)
-	})
+	shrink, restore := serve.CacheShrinkStep(gov, b.cache)
+	gov.AddStep("shrink-cache", gov.HighFrac(), shrink, restore)
+	gov.AddStep("cap-arena", gov.CriticalFrac(),
+		func(float64) { b.eng.SetArenaCap(max(b.eng.ArenaBytes(), 1)) },
+		func() { b.eng.SetArenaCap(0) })
 	return nil
 }
 

@@ -11,7 +11,9 @@
 // PIFS-Rec-style — so partition planning and routing can weigh DPU
 // versus fabric cost.
 //
-// The frontend implements serve.Inferencer, so every driver that works
+// The frontend is a serve.Server whose shards are gather shards, so
+// admission, QoS classes, SLO shedding, micro-batching, the update lane
+// and Stats are the single-node server's, and every driver that works
 // against the single-node serve.Server works against a cluster
 // unchanged. With the default table-aligned ownership (RangesPerTable
 // == 1) a cluster's predictions are bit-identical to the single-node
@@ -34,7 +36,6 @@ import (
 	"updlrm/internal/governor"
 	"updlrm/internal/hotcache"
 	"updlrm/internal/obs"
-	"updlrm/internal/serve"
 	"updlrm/internal/trace"
 )
 
@@ -61,15 +62,17 @@ type Config struct {
 	// VirtualNodes is the consistent-hash ring's virtual-point count per
 	// node (default 16): more points smooth the range distribution.
 	VirtualNodes int
-	// MaxBatch, BatchWindow and QueueDepth shape the frontend's
-	// micro-batcher exactly as serve.Config's fields do (defaults
-	// serve.DefaultMaxBatch / 0 / serve.DefaultQueueDepth).
+	// MaxBatch, BatchWindow and QueueDepth are the frontend server's
+	// serve.Config fields of the same names: the micro-batch cap, the
+	// batching window (Normal and Batch classes; Critical closes
+	// opportunistically) and the per-class admission queue depth, with
+	// serve's defaults.
 	MaxBatch    int
 	BatchWindow time.Duration
 	QueueDepth  int
-	// GatherWorkers is how many micro-batches the frontend gathers
-	// concurrently (each worker owns a dense-path model clone). Default
-	// 2.
+	// GatherWorkers is the frontend server's shard count: how many
+	// micro-batches it gathers concurrently, each gather shard owning a
+	// dense-path model clone. Zero means serve.DefaultShards.
 	GatherWorkers int
 	// Link models the interconnect for Breakdown.NetworkNs accounting.
 	// The zero value means DefaultLink().
@@ -103,10 +106,12 @@ type Config struct {
 	// resources, and they report their band and pressure on every
 	// lookup response so ClusterStats can surface fleet-wide pressure.
 	Governor governor.Config
-	// Metrics, when set, receives the cluster instrument families:
+	// Metrics, when set, receives the frontend server's serve_*
+	// families (admission, per-class sheds and latencies, dispatch,
+	// router, update lane) plus the cluster instrument families:
 	// per-node RPC and error counters, hedge/failover counters,
 	// gather-latency histograms, modeled network time and degraded
-	// gauges. Pre-resolved at construction; nil leaves the fabric
+	// gauges. Pre-resolved at construction; nil leaves the frontend
 	// uninstrumented.
 	Metrics *obs.Registry
 }
@@ -115,7 +120,6 @@ type Config struct {
 const (
 	DefaultReplication   = 2
 	DefaultVirtualNodes  = 16
-	DefaultGatherWorkers = 2
 	DefaultCallTimeout   = 2 * time.Second
 	DefaultFailureThresh = 3
 )
@@ -143,15 +147,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.VirtualNodes <= 0 {
 		c.VirtualNodes = DefaultVirtualNodes
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = serve.DefaultMaxBatch
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = serve.DefaultQueueDepth
-	}
-	if c.GatherWorkers <= 0 {
-		c.GatherWorkers = DefaultGatherWorkers
-	}
 	if c.Link == (LinkModel{}) {
 		c.Link = DefaultLink()
 	}
@@ -169,7 +164,7 @@ func (c Config) withDefaults() (Config, error) {
 // over it — the deployment shape tests and single-binary demos use.
 // Backend engines are built from ecfg exactly as NewBackend documents;
 // the frontend's dense head divides the host cores among its gather
-// workers.
+// shards.
 func New(model *dlrm.Model, profile *trace.Trace, ecfg core.Config, cfg Config) (*Frontend, []*Backend, error) {
 	norm, err := cfg.withDefaults()
 	if err != nil {

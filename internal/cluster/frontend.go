@@ -1,5 +1,15 @@
 package cluster
 
+// The cluster frontend is a serve.Server whose shards are gather
+// shards: admission, QoS classes, SLO shedding, micro-batching, routing,
+// the update lane, Stats and the serve_* metrics are the single-node
+// server's, and the fabric is only where a micro-batch runs. A gather
+// shard routes each batch's sparse lookups to the backends owning the
+// touched ranges, gathers their partial embedding reductions over the
+// transport and runs the dense head locally. Failures fail over to
+// replicas (retry-once), slow primaries can be hedged, and every
+// fan-out charges the link model into Breakdown.NetworkNs.
+
 import (
 	"context"
 	"fmt"
@@ -7,6 +17,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"updlrm/internal/core"
@@ -19,70 +30,47 @@ import (
 	"updlrm/internal/trace"
 )
 
-// Frontend is the cluster's serving face: it implements
-// serve.Inferencer by micro-batching incoming requests, scattering each
-// batch's sparse lookups to the backends owning the touched ranges,
-// gathering their partial embedding reductions over the transport, and
-// running the dense head locally. Failures fail over to replicas
-// (retry-once), slow primaries can be hedged, and every fan-out charges
-// the link model into Breakdown.NetworkNs.
+// Frontend is the cluster's serving face. It implements serve.Inferencer
+// through a serve.Server over GatherWorkers gather shards that share
+// one fabric: placement, transport, node health and counters.
 type Frontend struct {
+	srv    *serve.Server
 	cfg    Config
 	place  *placement
 	tr     Transport
 	health *health
 	obs    *clusterObs
 	nc     []nodeCounters
-	stats  *collector
+	// gatherBatches and networkNs (float64 bits) back ClusterStats'
+	// fabric totals.
+	gatherBatches atomic.Int64
+	networkNs     atomicFloat64
 
-	numTables    int
-	rowsPerTable []int
-	denseDim     int
-	embDim       int
-	flops        int64
-	host         hosthw.CPUModel
+	numTables int
+	embDim    int
+	flops     int64
+	host      hosthw.CPUModel
 
-	mu      sync.RWMutex // guards closed + queue sends against Close
-	closed  bool
-	queue   chan *fePending
-	batchCh chan []*fePending
-	// updateSem bounds outstanding ApplyDeltas fan-outs (shed-at-the-door
-	// admission, like the single-node update lane).
-	updateSem chan struct{}
+	// updMu guards the update sequencing state (see applyOnce):
+	// updApplied is the last job whose fan-out finished, updRunning is
+	// closed when the job being fanned out finishes (nil when none is).
+	updMu      sync.Mutex
+	updApplied uint64
+	updRunning chan struct{}
 
-	wg        sync.WaitGroup
 	stopProbe chan struct{}
 	probeWG   sync.WaitGroup
 	shutdown  sync.Once
 }
 
-// updateSlots bounds concurrent update fan-outs, mirroring the
-// single-node update lane's queue depth.
-const updateSlots = 64
-
-// fePending is one queued request awaiting its micro-batch.
-type fePending struct {
-	req  serve.Request // private copy
-	ctx  context.Context
-	enq  time.Time
-	done chan feOutcome // buffered 1
-}
-
-type feOutcome struct {
-	resp serve.Response
-	err  error
-}
-
-// gatherWorker is one gather goroutine's private state: a dense-path
-// pool over its own model clone plus recycled batch scratch.
-type gatherWorker struct {
-	id      int
+// gatherShard is one serve shard over the fabric: a dense-path pool over
+// its own model clone plus recycled batch scratch.
+type gatherShard struct {
+	f       *Frontend
 	pool    *dlrm.HostPool
-	tr      trace.Trace
-	batch   trace.Batch
 	embs    tensor.EmbBuf
-	ctr     []float32
 	written []bool
+	res     core.Result
 }
 
 // nodeCall is one lookup RPC to one node: the request (covering all the
@@ -127,45 +115,46 @@ func NewFrontend(model *dlrm.Model, profile *trace.Trace, ecfg core.Config, cfg 
 	}
 	h := newHealth(len(norm.Nodes), norm.FailureThreshold)
 	f := &Frontend{
-		cfg:          norm,
-		place:        place,
-		tr:           tr,
-		health:       h,
-		obs:          newClusterObs(norm.Metrics, norm.Nodes, h),
-		nc:           make([]nodeCounters, len(norm.Nodes)),
-		stats:        &collector{},
-		numTables:    model.Cfg.NumTables(),
-		rowsPerTable: append([]int(nil), model.Cfg.RowsPerTable...),
-		denseDim:     model.Cfg.DenseDim,
-		embDim:       model.Cfg.EmbDim,
-		flops:        model.FLOPsPerSample(),
-		host:         ecfg.Host,
-		queue:        make(chan *fePending, norm.QueueDepth),
-		batchCh:      make(chan []*fePending, norm.GatherWorkers),
-		updateSem:    make(chan struct{}, updateSlots),
+		cfg:       norm,
+		place:     place,
+		tr:        tr,
+		health:    h,
+		obs:       newClusterObs(norm.Metrics, norm.Nodes, h),
+		nc:        make([]nodeCounters, len(norm.Nodes)),
+		numTables: model.Cfg.NumTables(),
+		embDim:    model.Cfg.EmbDim,
+		flops:     model.FLOPsPerSample(),
+		host:      ecfg.Host,
 	}
-	// Each gather worker owns a model clone and an even share of the
+	// Each gather shard owns a model clone and an even share of the
 	// host cores for the dense head — the same kernel tier the backends'
 	// single-node equivalent would run, so CTRs stay bit-identical.
-	share := runtime.GOMAXPROCS(0) / norm.GatherWorkers
-	if share < 1 {
-		share = 1
+	n := norm.GatherWorkers
+	if n <= 0 {
+		n = serve.DefaultShards
 	}
-	f.wg.Add(1)
-	go f.batcher()
-	for i := 0; i < norm.GatherWorkers; i++ {
-		w := &gatherWorker{
-			id:   i,
-			pool: dlrm.NewHostPool(model.Clone(), share, ecfg.Kernel),
-			tr: trace.Trace{
-				NumTables:    f.numTables,
-				RowsPerTable: f.rowsPerTable,
-				DenseDim:     f.denseDim,
-			},
+	share := max(runtime.GOMAXPROCS(0)/n, 1)
+	shards := make([]serve.Shard, n)
+	for i := range shards {
+		shards[i] = &gatherShard{
+			f:       f,
+			pool:    dlrm.NewHostPool(model.Clone(), share, ecfg.Kernel),
 			written: make([]bool, f.numTables),
 		}
-		f.wg.Add(1)
-		go f.worker(w)
+	}
+	f.srv, err = serve.NewFromShards(shards, serve.Shape{
+		NumTables:    f.numTables,
+		RowsPerTable: model.Cfg.RowsPerTable,
+		DenseDim:     model.Cfg.DenseDim,
+		EmbDim:       f.embDim,
+	}, serve.Config{
+		MaxBatch:    norm.MaxBatch,
+		BatchWindow: norm.BatchWindow,
+		QueueDepth:  norm.QueueDepth,
+		Metrics:     norm.Metrics,
+	})
+	if err != nil {
+		return nil, err
 	}
 	if norm.PingInterval > 0 {
 		f.stopProbe = make(chan struct{})
@@ -177,14 +166,34 @@ func NewFrontend(model *dlrm.Model, profile *trace.Trace, ecfg core.Config, cfg 
 
 var _ serve.Inferencer = (*Frontend)(nil)
 
+// Predict serves one request through the fan-out/gather path, with the
+// single-node server's admission, QoS scheduling and error taxonomy.
+func (f *Frontend) Predict(ctx context.Context, req serve.Request) (serve.Response, error) {
+	return f.srv.Predict(ctx, req)
+}
+
+// ApplyDeltas applies the row deltas to every copy of each touched
+// range — owner and replicas — and blocks until all involved nodes have
+// absorbed them. Updates ride the server's update lane, so concurrent
+// calls reach every copy in the same (admission) order. Any node
+// failure fails the call; a full update lane sheds with the update-lane
+// overload error.
+func (f *Frontend) ApplyDeltas(ctx context.Context, deltas []serve.Delta) error {
+	return f.srv.ApplyDeltas(ctx, deltas)
+}
+
+// Stats snapshots the frontend's cumulative serving statistics —
+// per-class and per-shard included — in the serve.Stats shape.
+func (f *Frontend) Stats() serve.Stats { return f.srv.Stats() }
+
 // NumTables returns the number of embedding tables requests must carry.
 func (f *Frontend) NumTables() int { return f.numTables }
 
 // RowsPerTable returns a copy of the served table sizes.
-func (f *Frontend) RowsPerTable() []int { return append([]int(nil), f.rowsPerTable...) }
+func (f *Frontend) RowsPerTable() []int { return f.srv.RowsPerTable() }
 
 // DenseDim returns the dense feature width requests must carry.
-func (f *Frontend) DenseDim() int { return f.denseDim }
+func (f *Frontend) DenseDim() int { return f.srv.DenseDim() }
 
 // EmbDim returns the embedding dimension (the width delta vectors must
 // carry).
@@ -193,127 +202,6 @@ func (f *Frontend) EmbDim() int { return f.embDim }
 // DescribePlacement renders the range→node assignment, one line per
 // range.
 func (f *Frontend) DescribePlacement() string { return f.place.describe() }
-
-func (f *Frontend) validate(req serve.Request) error {
-	if req.Class >= serve.NumClasses {
-		return fmt.Errorf("%w: unknown class %d", serve.ErrBadRequest, req.Class)
-	}
-	if len(req.Dense) != f.denseDim {
-		return fmt.Errorf("%w: %d dense features, want %d", serve.ErrBadRequest, len(req.Dense), f.denseDim)
-	}
-	if len(req.Sparse) != f.numTables {
-		return fmt.Errorf("%w: %d sparse sets, want %d", serve.ErrBadRequest, len(req.Sparse), f.numTables)
-	}
-	for t, idx := range req.Sparse {
-		rows := f.rowsPerTable[t]
-		for _, v := range idx {
-			if v < 0 || int(v) >= rows {
-				return fmt.Errorf("%w: table %d index %d out of [0,%d)", serve.ErrBadRequest, t, v, rows)
-			}
-		}
-	}
-	return nil
-}
-
-// Predict serves one request through the fan-out/gather path, blocking
-// until its micro-batch has been gathered (or ctx is done). A full
-// admission queue sheds with the predict-lane overload error, exactly
-// like the single-node server.
-func (f *Frontend) Predict(ctx context.Context, req serve.Request) (serve.Response, error) {
-	if err := f.validate(req); err != nil {
-		return serve.Response{}, err
-	}
-	if err := ctx.Err(); err != nil {
-		return serve.Response{}, err
-	}
-	cp := serve.Request{
-		Dense:  append([]float32(nil), req.Dense...),
-		Sparse: make([][]int32, len(req.Sparse)),
-		Class:  req.Class,
-	}
-	for t, idx := range req.Sparse {
-		cp.Sparse[t] = append([]int32(nil), idx...)
-	}
-	p := &fePending{req: cp, ctx: ctx, enq: time.Now(), done: make(chan feOutcome, 1)}
-
-	f.mu.RLock()
-	if f.closed {
-		f.mu.RUnlock()
-		return serve.Response{}, serve.ErrClosed
-	}
-	select {
-	case f.queue <- p:
-		f.mu.RUnlock()
-	default:
-		f.mu.RUnlock()
-		f.stats.recordShed(req.Class)
-		f.obs.recordShed()
-		return serve.Response{}, serve.Overload(serve.LanePredict)
-	}
-
-	select {
-	case out := <-p.done:
-		return out.resp, out.err
-	case <-ctx.Done():
-		return serve.Response{}, ctx.Err()
-	}
-}
-
-// batcher coalesces queued requests into micro-batches of up to
-// MaxBatch, waiting BatchWindow for followers (opportunistic when the
-// window is zero), and feeds the gather workers.
-func (f *Frontend) batcher() {
-	defer f.wg.Done()
-	defer close(f.batchCh)
-	for {
-		p, ok := <-f.queue
-		if !ok {
-			return
-		}
-		batch := append(make([]*fePending, 0, f.cfg.MaxBatch), p)
-		var timer *time.Timer
-		var timerC <-chan time.Time
-		if f.cfg.BatchWindow > 0 {
-			timer = time.NewTimer(f.cfg.BatchWindow)
-			timerC = timer.C
-		}
-	collect:
-		for len(batch) < f.cfg.MaxBatch {
-			if timerC != nil {
-				select {
-				case q, ok := <-f.queue:
-					if !ok {
-						break collect
-					}
-					batch = append(batch, q)
-				case <-timerC:
-					break collect
-				}
-			} else {
-				select {
-				case q, ok := <-f.queue:
-					if !ok {
-						break collect
-					}
-					batch = append(batch, q)
-				default:
-					break collect
-				}
-			}
-		}
-		if timer != nil {
-			timer.Stop()
-		}
-		f.batchCh <- batch
-	}
-}
-
-func (f *Frontend) worker(w *gatherWorker) {
-	defer f.wg.Done()
-	for batch := range f.batchCh {
-		f.serveBatch(w, batch)
-	}
-}
 
 // pickTarget returns the range's routing target: the first healthy host
 // (owner preferred), excluding `exclude` (pass -1 for none). Returns -1
@@ -330,11 +218,10 @@ func (f *Frontend) pickTarget(rid, exclude int) int {
 // buildCall assembles the lookup RPC for one node serving the given
 // ranges: all the node's local tables appear (empty CSR where the call
 // routes no rows), and rows are translated to the node's local
-// coordinates.
-func (f *Frontend) buildCall(node int, ranges []int, pend []*fePending, owns func(rid int) bool) nodeCall {
+// coordinates. The request copies what it needs from b.
+func (f *Frontend) buildCall(node int, ranges []int, b *trace.Batch, owns func(rid int) bool) nodeCall {
 	nv := f.place.views[node]
-	size := len(pend)
-	req := &LookupRequest{Samples: size, Tables: make([]LookupTable, len(nv.tables))}
+	req := &LookupRequest{Samples: b.Size, Tables: make([]LookupTable, len(nv.tables))}
 	serves := make(map[int]bool, len(ranges))
 	var tables []int
 	for _, rid := range ranges {
@@ -348,12 +235,12 @@ func (f *Frontend) buildCall(node int, ranges []int, pend []*fePending, owns fun
 	for lt, gt := range nv.tables {
 		t := &req.Tables[lt]
 		t.Table = int32(lt)
-		t.Off = make([]int32, size+1)
+		t.Off = make([]int32, b.Size+1)
 		if !serves[gt] {
 			continue
 		}
-		for s, p := range pend {
-			for _, row := range p.req.Sparse[gt] {
+		for s := 0; s < b.Size; s++ {
+			for _, row := range b.SampleIndices(gt, s) {
 				rid, idx := f.place.rangeOf(gt, row)
 				if owns(rid) {
 					t.Idx = append(t.Idx, nv.rangeOff[rid]+(row-f.place.bounds[gt][idx]))
@@ -375,10 +262,39 @@ type lookupOutcome struct {
 	err     error
 }
 
+// gather executes the calls concurrently and collects their results;
+// any failed call fails the set.
+func (f *Frontend) gather(ctx context.Context, calls []nodeCall, b *trace.Batch, depth int) ([]callResult, error) {
+	var (
+		mu       sync.Mutex
+		results  []callResult
+		firstErr error
+		wg       sync.WaitGroup
+	)
+	for _, c := range calls {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rs, err := f.callLookup(ctx, c, b, depth)
+			mu.Lock()
+			if err != nil && firstErr == nil {
+				firstErr = err
+			}
+			results = append(results, rs...)
+			mu.Unlock()
+		}()
+	}
+	wg.Wait()
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	return results, nil
+}
+
 // callLookup executes one node call with hedging and retry-once
 // failover. depth 0 is the primary attempt; depth 1 calls (failover or
-// hedge legs) neither hedge nor fail over again.
-func (f *Frontend) callLookup(ctx context.Context, c nodeCall, pend []*fePending, depth int) ([]callResult, error) {
+// hedge legs) neither hedge nor fail over again, and take a nil batch.
+func (f *Frontend) callLookup(ctx context.Context, c nodeCall, b *trace.Batch, depth int) ([]callResult, error) {
 	reqBytes := c.req.WireBytes()
 	prim := make(chan callOut, 1)
 	go func() {
@@ -430,14 +346,26 @@ func (f *Frontend) callLookup(ctx context.Context, c nodeCall, pend []*fePending
 			}
 			f.nc[c.node].failovers.Add(1)
 			f.obs.recordFailover(c.node)
-			return f.reroute(ctx, c, pend)
+			calls, err := f.rerouteCalls(c, b)
+			if err != nil {
+				return nil, err
+			}
+			return f.gather(ctx, calls, nil, 1)
 		case <-timerC:
 			timerC = nil
 			f.nc[c.node].hedges.Add(1)
 			f.obs.recordHedge(c.node)
 			hedgeC = make(chan lookupOutcome, 1)
+			// The hedge leg may outlive this batch (a winning primary
+			// does not wait for it), so its calls are built from the
+			// batch here, before the leg starts.
+			calls, err := f.rerouteCalls(c, b)
 			go func() {
-				rs, err := f.reroute(ctx, c, pend)
+				if err != nil {
+					hedgeC <- lookupOutcome{err: err}
+					return
+				}
+				rs, err := f.gather(ctx, calls, nil, 1)
 				hedgeC <- lookupOutcome{results: rs, err: err}
 			}()
 		case ho := <-hedgeC:
@@ -450,10 +378,9 @@ func (f *Frontend) callLookup(ctx context.Context, c nodeCall, pend []*fePending
 	}
 }
 
-// reroute re-targets a failed (or hedged) call's ranges at their
-// replicas — excluding the original node — and executes the fallback
-// calls at depth 1.
-func (f *Frontend) reroute(ctx context.Context, c nodeCall, pend []*fePending) ([]callResult, error) {
+// rerouteCalls re-targets a failed (or hedged) call's ranges at their
+// replicas — excluding the original node — as depth-1 fallback calls.
+func (f *Frontend) rerouteCalls(c nodeCall, b *trace.Batch) ([]nodeCall, error) {
 	perNode := make(map[int][]int)
 	for _, rid := range c.ranges {
 		n := f.pickTarget(rid, c.node)
@@ -464,118 +391,62 @@ func (f *Frontend) reroute(ctx context.Context, c nodeCall, pend []*fePending) (
 		}
 		perNode[n] = append(perNode[n], rid)
 	}
-	nodes := make([]int, 0, len(perNode))
-	for n := range perNode {
-		nodes = append(nodes, n)
-	}
-	sort.Ints(nodes)
-	var (
-		mu       sync.Mutex
-		results  []callResult
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	for _, n := range nodes {
-		ranges := perNode[n]
-		owned := make(map[int]bool, len(ranges))
-		for _, rid := range ranges {
+	calls := make([]nodeCall, 0, len(perNode))
+	for _, n := range sortedKeys(perNode) {
+		owned := make(map[int]bool, len(perNode[n]))
+		for _, rid := range perNode[n] {
 			owned[rid] = true
 		}
-		fc := f.buildCall(n, ranges, pend, func(rid int) bool { return owned[rid] })
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rs, err := f.callLookup(ctx, fc, pend, 1)
-			mu.Lock()
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			results = append(results, rs...)
-			mu.Unlock()
-		}()
+		calls = append(calls, f.buildCall(n, perNode[n], b, func(rid int) bool { return owned[rid] }))
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return results, nil
+	return calls, nil
 }
 
-// serveBatch routes, scatters, gathers and finishes one micro-batch.
-func (f *Frontend) serveBatch(w *gatherWorker, pend []*fePending) {
-	live := pend[:0]
-	for _, p := range pend {
-		if err := p.ctx.Err(); err != nil {
-			p.done <- feOutcome{err: err}
-			continue
-		}
-		live = append(live, p)
+// sortedKeys returns a node-keyed map's nodes in ascending order.
+func sortedKeys[V any](m map[int]V) []int {
+	keys := make([]int, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	pend = live
-	if len(pend) == 0 {
-		return
-	}
-	size := len(pend)
-	dispatch := time.Now()
+	sort.Ints(keys)
+	return keys
+}
+
+// RunBatch routes, scatters, gathers and finishes one micro-batch: the
+// nodes' partial reductions are assembled by placement, and the dense
+// head runs on the gathered embeddings.
+func (g *gatherShard) RunBatch(b *trace.Batch) (*core.Result, error) {
+	f := g.f
+	size := b.Size
+	start := time.Now()
 
 	// Route: target node per touched range (owner unless degraded, else
 	// the first healthy replica; a fully degraded range still tries the
 	// owner — success is what restores health).
 	tgt := make(map[int]int)
 	perNode := make(map[int][]int)
-	for _, p := range pend {
-		for gt, rows := range p.req.Sparse {
-			for _, row := range rows {
-				rid, _ := f.place.rangeOf(gt, row)
-				if _, ok := tgt[rid]; ok {
-					continue
-				}
-				n := f.pickTarget(rid, -1)
-				if n < 0 {
-					n = f.place.hosts[rid][0]
-				}
-				tgt[rid] = n
-				perNode[n] = append(perNode[n], rid)
+	for gt := 0; gt < f.numTables; gt++ {
+		for _, row := range b.Idx[gt] {
+			rid, _ := f.place.rangeOf(gt, row)
+			if _, ok := tgt[rid]; ok {
+				continue
 			}
+			n := f.pickTarget(rid, -1)
+			if n < 0 {
+				n = f.place.hosts[rid][0]
+			}
+			tgt[rid] = n
+			perNode[n] = append(perNode[n], rid)
 		}
 	}
-
-	nodes := make([]int, 0, len(perNode))
-	for n := range perNode {
-		nodes = append(nodes, n)
+	nodes := sortedKeys(perNode)
+	calls := make([]nodeCall, len(nodes))
+	for i, n := range nodes {
+		calls[i] = f.buildCall(n, perNode[n], b, func(rid int) bool { return tgt[rid] == n })
 	}
-	sort.Ints(nodes)
-
-	var results []callResult
-	if len(nodes) > 0 {
-		var (
-			mu       sync.Mutex
-			firstErr error
-			wg       sync.WaitGroup
-		)
-		for _, n := range nodes {
-			c := f.buildCall(n, perNode[n], pend, func(rid int) bool { return tgt[rid] == n })
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				rs, err := f.callLookup(context.Background(), c, pend, 0)
-				mu.Lock()
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-				results = append(results, rs...)
-				mu.Unlock()
-			}()
-		}
-		wg.Wait()
-		if firstErr != nil {
-			err := fmt.Errorf("cluster: gather: %w", firstErr)
-			for _, p := range pend {
-				p.done <- feOutcome{err: err}
-			}
-			f.stats.recordError(size)
-			return
-		}
+	results, err := f.gather(context.Background(), calls, b, 0)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: gather: %w", err)
 	}
 
 	// Deterministic assembly: results in (node, first table) order; the
@@ -595,9 +466,9 @@ func (f *Frontend) serveBatch(w *gatherWorker, pend []*fePending) {
 		return ti < tj
 	})
 
-	w.embs.Reset(size, f.numTables, f.embDim)
-	for i := range w.written {
-		w.written[i] = false
+	g.embs.Reset(size, f.numTables, f.embDim)
+	for i := range g.written {
+		g.written[i] = false
 	}
 	var bd metrics.Breakdown
 	var netNs float64
@@ -609,20 +480,18 @@ func (f *Frontend) serveBatch(w *gatherWorker, pend []*fePending) {
 			lt := nv.tableIdx[gt]
 			for s := 0; s < size; s++ {
 				src := r.resp.Embs[(lt*size+s)*f.embDim : (lt*size+s+1)*f.embDim]
-				dst := w.embs.At(s, gt)
-				if !w.written[gt] {
+				dst := g.embs.At(s, gt)
+				if !g.written[gt] {
 					copy(dst, src)
 				} else {
 					tensor.Add(src, dst)
 				}
 			}
-			w.written[gt] = true
+			g.written[gt] = true
 			gatherBytes += int64(size*f.embDim) * 4
 		}
 		maxBreakdown(&bd, &r.resp.Breakdown)
-		if r.rtNs > netNs {
-			netNs = r.rtNs
-		}
+		netNs = max(netNs, r.rtNs)
 		mram += r.resp.MRAMBytesRead
 	}
 	// The fabric batch's modeled time: the nodes' embedding stages run
@@ -633,34 +502,18 @@ func (f *Frontend) serveBatch(w *gatherWorker, pend []*fePending) {
 	bd.HostAggNs += f.host.StreamNs(gatherBytes)
 	bd.MLPNs = f.host.ComputeNs(f.flops * int64(size))
 
-	// Dense head on the gathered embeddings.
-	w.tr.Samples = w.tr.Samples[:0]
-	for _, p := range pend {
-		w.tr.Samples = append(w.tr.Samples, trace.Sample{Dense: p.req.Dense, Sparse: p.req.Sparse})
+	if cap(g.res.CTR) < size {
+		g.res.CTR = make([]float32, size)
 	}
-	w.batch.Reset(&w.tr, 0, size)
-	if cap(w.ctr) < size {
-		w.ctr = make([]float32, size)
-	}
-	w.ctr = w.ctr[:size]
-	w.pool.Forward(&w.batch, &w.embs, w.ctr)
+	g.res.CTR = g.res.CTR[:size]
+	g.pool.Forward(b, &g.embs, g.res.CTR)
+	g.res.Breakdown = bd
+	g.res.MRAMBytesRead = mram
 
-	for i, p := range pend {
-		queueNs := float64(dispatch.Sub(p.enq).Nanoseconds())
-		resp := serve.Response{
-			CTR:       w.ctr[i],
-			Class:     p.req.Class,
-			Shard:     w.id,
-			BatchSize: size,
-			QueueNs:   queueNs,
-			Breakdown: bd,
-			SpanNs:    queueNs + bd.TotalNs(),
-		}
-		p.done <- feOutcome{resp: resp}
-		f.stats.record(resp)
-	}
-	f.stats.recordBatch(mram, netNs)
-	f.obs.recordBatch(float64(time.Since(dispatch).Nanoseconds()), netNs)
+	f.gatherBatches.Add(1)
+	f.networkNs.Add(netNs)
+	f.obs.recordBatch(float64(time.Since(start).Nanoseconds()), netNs)
+	return &g.res, nil
 }
 
 // maxBreakdown folds src into dst elementwise-max: the backends run
@@ -684,43 +537,50 @@ func maxBreakdown(dst, src *metrics.Breakdown) {
 	maxf(&dst.UpdateNs, src.UpdateNs)
 }
 
-// ApplyDeltas applies the row deltas to every copy of each touched
-// range — owner and replicas — keeping the replica set coherent, and
-// blocks until all involved nodes have absorbed them. Any node failure
-// fails the call (a partially applied update would leave replicas
-// divergent); admission sheds with the update-lane overload error when
-// too many fan-outs are already in flight.
-func (f *Frontend) ApplyDeltas(ctx context.Context, deltas []serve.Delta) error {
-	if len(deltas) == 0 {
-		return fmt.Errorf("%w: empty update", serve.ErrBadRequest)
-	}
-	for i, d := range deltas {
-		if d.Table < 0 || d.Table >= f.numTables {
-			return fmt.Errorf("%w: delta %d table %d out of [0,%d)", serve.ErrBadRequest, i, d.Table, f.numTables)
-		}
-		if d.Row < 0 || int(d.Row) >= f.rowsPerTable[d.Table] {
-			return fmt.Errorf("%w: delta %d row %d out of [0,%d)", serve.ErrBadRequest, i, d.Row, f.rowsPerTable[d.Table])
-		}
-		if len(d.Vec) != f.embDim {
-			return fmt.Errorf("%w: delta %d vec len %d, want %d", serve.ErrBadRequest, i, len(d.Vec), f.embDim)
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	f.mu.RLock()
-	closed := f.closed
-	f.mu.RUnlock()
-	if closed {
-		return serve.ErrClosed
-	}
-	select {
-	case f.updateSem <- struct{}{}:
-		defer func() { <-f.updateSem }()
-	default:
-		return serve.Overload(serve.LaneUpdate)
-	}
+// ApplyUpdate applies one update-lane job to the fabric. Every gather
+// shard receives every job, but the shards share one set of backends,
+// so the job is fanned out once (see applyOnce).
+func (g *gatherShard) ApplyUpdate(job serve.UpdateJob) (serve.UpdateResult, error) {
+	return g.f.applyOnce(job)
+}
 
+// applyOnce fans an update job out to every copy of its ranges exactly
+// once and in admission order. Each shard meets the jobs in the same
+// order and, before moving past a job, waits until its fan-out has
+// finished; so when a shard reaches job Seq, job Seq-1 has already been
+// applied everywhere. The first shard to reach a job fans it out and
+// reports its result; the others wait for it and report nothing, so the
+// server's per-job totals count the fabric once.
+func (f *Frontend) applyOnce(job serve.UpdateJob) (serve.UpdateResult, error) {
+	f.updMu.Lock()
+	if job.Seq <= f.updApplied {
+		f.updMu.Unlock()
+		return serve.UpdateResult{}, nil
+	}
+	if running := f.updRunning; running != nil {
+		// The running fan-out is this job: the next one cannot start
+		// before some shard is past this one.
+		f.updMu.Unlock()
+		<-running
+		return serve.UpdateResult{}, nil
+	}
+	running := make(chan struct{})
+	f.updRunning = running
+	f.updMu.Unlock()
+
+	res, err := f.fanOutUpdate(job.Deltas)
+
+	f.updMu.Lock()
+	f.updApplied = job.Seq
+	f.updRunning = nil
+	f.updMu.Unlock()
+	close(running)
+	return res, err
+}
+
+// fanOutUpdate sends each delta to every host of its range — owner and
+// replicas — one UpdateRequest per node, and waits for all of them.
+func (f *Frontend) fanOutUpdate(deltas []serve.Delta) (serve.UpdateResult, error) {
 	// Group per node, per local table, across ALL hosts of each delta's
 	// range.
 	perNode := make(map[int]map[int]*UpdateTable)
@@ -745,36 +605,25 @@ func (f *Frontend) ApplyDeltas(ctx context.Context, deltas []serve.Delta) error 
 		}
 	}
 
-	nodes := make([]int, 0, len(perNode))
-	for n := range perNode {
-		nodes = append(nodes, n)
-	}
-	sort.Ints(nodes)
 	var (
-		mu        sync.Mutex
-		firstErr  error
-		modeledNs float64
-		wg        sync.WaitGroup
+		mu       sync.Mutex
+		firstErr error
+		out      serve.UpdateResult
+		wg       sync.WaitGroup
 	)
-	for _, n := range nodes {
-		tabs := perNode[n]
-		lts := make([]int, 0, len(tabs))
-		for lt := range tabs {
-			lts = append(lts, lt)
-		}
-		sort.Ints(lts)
-		req := &UpdateRequest{Tables: make([]UpdateTable, 0, len(lts))}
-		for _, lt := range lts {
+	for _, node := range sortedKeys(perNode) {
+		tabs := perNode[node]
+		req := &UpdateRequest{Tables: make([]UpdateTable, 0, len(tabs))}
+		for _, lt := range sortedKeys(tabs) {
 			req.Tables = append(req.Tables, *tabs[lt])
 		}
-		node := n
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cctx, cancel := context.WithTimeout(ctx, f.cfg.CallTimeout)
+			ctx, cancel := context.WithTimeout(context.Background(), f.cfg.CallTimeout)
 			defer cancel()
 			reqBytes := req.WireBytes()
-			resp, err := f.tr.Update(cctx, f.place.nodes[node], req)
+			resp, err := f.tr.Update(ctx, f.place.nodes[node], req)
 			if err != nil {
 				f.nc[node].errors.Add(1)
 				f.obs.recordRPCError(node)
@@ -794,18 +643,13 @@ func (f *Frontend) ApplyDeltas(ctx context.Context, deltas []serve.Delta) error 
 			nc.bytesRecv.Add(respBytes)
 			f.obs.recordUpdate(node, reqBytes, respBytes)
 			mu.Lock()
-			if resp.ModeledNs > modeledNs {
-				modeledNs = resp.ModeledNs // nodes apply in parallel
-			}
+			out.Invalidations += resp.Invalidations
+			out.ModeledNs = max(out.ModeledNs, resp.ModeledNs) // nodes apply in parallel
 			mu.Unlock()
 		}()
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	f.stats.recordUpdate(int64(len(deltas)), modeledNs)
-	return nil
+	return out, firstErr
 }
 
 // SetNodeDown marks the named node degraded, routing its ranges to
@@ -851,14 +695,14 @@ func (f *Frontend) prober() {
 	}
 }
 
-// Stats snapshots the frontend's cumulative serving statistics in the
-// serve.Stats shape the Inferencer contract promises.
-func (f *Frontend) Stats() serve.Stats { return f.stats.snapshot() }
-
 // ClusterStats snapshots the fabric-level supplement: per-node RPC
 // traffic, health, and the modeled interconnect total.
 func (f *Frontend) ClusterStats() ClusterStats {
-	cs := ClusterStats{Nodes: make([]NodeStats, len(f.place.nodes))}
+	cs := ClusterStats{
+		Nodes:         make([]NodeStats, len(f.place.nodes)),
+		NetworkNs:     f.networkNs.Load(),
+		GatherBatches: f.gatherBatches.Load(),
+	}
 	for i, name := range f.place.nodes {
 		nc := &f.nc[i]
 		cs.Nodes[i] = NodeStats{
@@ -877,24 +721,14 @@ func (f *Frontend) ClusterStats() ClusterStats {
 			cs.Nodes[i].Pressure = math.Float64frombits(nc.govPressure.Load())
 		}
 	}
-	f.stats.mu.Lock()
-	cs.NetworkNs = f.stats.netNs
-	cs.GatherBatches = f.stats.batches
-	f.stats.mu.Unlock()
 	return cs
 }
 
-// Close stops accepting requests, drains the queue (every already
-// admitted request is still served), waits for the gather workers, and
-// closes the transport. It is idempotent.
+// Close stops accepting requests, drains the queues and the update lane
+// (every admitted request and update still completes), stops the
+// health prober and closes the transport. It is idempotent.
 func (f *Frontend) Close() {
-	f.mu.Lock()
-	if !f.closed {
-		f.closed = true
-		close(f.queue)
-	}
-	f.mu.Unlock()
-	f.wg.Wait()
+	f.srv.Close()
 	f.shutdown.Do(func() {
 		if f.stopProbe != nil {
 			close(f.stopProbe)

@@ -57,7 +57,7 @@ type Config struct {
 	// workspaces the host pool shards row-blocks over). Zero means one
 	// worker per host core (capped at maxHostWorkers); multi-engine deployments
 	// (serving shards) should divide the cores among replicas so the
-	// pools do not oversubscribe the machine — serve.NewReplicated does.
+	// pools do not oversubscribe the machine — serve.NewShards does.
 	HostWorkers int
 	// WriteRatio is the expected embedding-update traffic (row deltas
 	// per lookup) the deployment will sustain. It flows into the shape
@@ -94,15 +94,6 @@ type Config struct {
 	// runtime does).
 	HotCache *hotcache.Cache
 }
-
-// Clone returns a copy of the config for per-shard overrides: value
-// fields (partitioning method, tile shape, quantization, worker-pool
-// width) may be changed freely on the copy, while reference fields —
-// HotCache in particular — stay shared, which is exactly what a
-// heterogeneous serving tier wants (one admission filter and hit-rate
-// accounting across all replicas). Serving constructors clone a base
-// config per shard before applying that shard's overrides.
-func (c Config) Clone() Config { return c }
 
 // DefaultConfig returns the paper's evaluation configuration: 256 DPUs,
 // cache-aware partitioning with a full cache budget, batch 64.

@@ -118,8 +118,9 @@ func TestEstimateBreakdownLeavesHotCacheUntouched(t *testing.T) {
 	}
 }
 
-// TestConfigCloneSharesCache pins Clone's contract: value fields fork,
-// reference fields (the shared hot-row cache) stay shared.
+// TestConfigCloneSharesCache pins what a per-shard config copy (a plain
+// value copy) does: value fields fork, reference fields (the shared
+// hot-row cache) stay shared.
 func TestConfigCloneSharesCache(t *testing.T) {
 	model, _ := smallWorld(t)
 	cache, err := hotcache.New(hotcache.Config{CapacityBytes: 1 << 16}, model.Cfg.EmbDim)
@@ -128,7 +129,7 @@ func TestConfigCloneSharesCache(t *testing.T) {
 	}
 	base := smallConfig(partition.MethodUniform)
 	base.HotCache = cache
-	cp := base.Clone()
+	cp := base
 	cp.Method = partition.MethodNonUniform
 	cp.TotalDPUs = 8
 	if base.Method != partition.MethodUniform || base.TotalDPUs != 32 {

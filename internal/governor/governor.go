@@ -69,8 +69,9 @@ type Config struct {
 	// Must be positive.
 	BudgetBytes int64
 	// HighFrac and CriticalFrac place the watermarks as fractions of
-	// the budget (defaults 0.75 and 0.90). CriticalFrac must be at or
-	// above HighFrac.
+	// the budget (zero means the defaults 0.75 and 0.90). Both must lie
+	// in (0, 1] and CriticalFrac must be at or above HighFrac; New
+	// rejects any other setting instead of repairing it.
 	HighFrac     float64
 	CriticalFrac float64
 	// Hysteresis is how far below a watermark pressure must fall before
@@ -83,15 +84,24 @@ type Config struct {
 	Interval time.Duration
 }
 
-func (c Config) withDefaults() Config {
-	if c.HighFrac <= 0 {
+// withDefaults fills zero fields and rejects settings that make no
+// sense: a non-positive budget, a watermark outside (0, 1], or a
+// Critical watermark below the High one.
+func (c Config) withDefaults() (Config, error) {
+	if c.BudgetBytes <= 0 {
+		return c, fmt.Errorf("governor: BudgetBytes = %d", c.BudgetBytes)
+	}
+	if c.HighFrac == 0 {
 		c.HighFrac = DefaultHighFrac
 	}
-	if c.CriticalFrac <= 0 {
+	if c.CriticalFrac == 0 {
 		c.CriticalFrac = DefaultCriticalFrac
 	}
+	if c.HighFrac < 0 || c.HighFrac > 1 || c.CriticalFrac < 0 || c.CriticalFrac > 1 {
+		return c, fmt.Errorf("governor: watermarks High %v / Critical %v outside (0, 1]", c.HighFrac, c.CriticalFrac)
+	}
 	if c.CriticalFrac < c.HighFrac {
-		c.CriticalFrac = c.HighFrac
+		return c, fmt.Errorf("governor: CriticalFrac %v below HighFrac %v", c.CriticalFrac, c.HighFrac)
 	}
 	if c.Hysteresis <= 0 {
 		c.Hysteresis = DefaultHysteresis
@@ -99,7 +109,7 @@ func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
 		c.Interval = DefaultInterval
 	}
-	return c
+	return c, nil
 }
 
 // consumer is one tracked byte source.
@@ -175,19 +185,28 @@ type Governor struct {
 
 // New builds a governor over the given budget. A non-positive
 // BudgetBytes is rejected — "no budget" means "no governor", which
-// callers express by not constructing one.
+// callers express by not constructing one — and so are watermarks that
+// make no sense (see Config).
 func New(cfg Config) (*Governor, error) {
-	if cfg.BudgetBytes <= 0 {
-		return nil, fmt.Errorf("governor: BudgetBytes = %d", cfg.BudgetBytes)
+	norm, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
 	}
 	g := &Governor{
-		cfg:  cfg.withDefaults(),
+		cfg:  norm,
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
-	g.budget.Store(cfg.BudgetBytes)
+	g.budget.Store(norm.BudgetBytes)
 	return g, nil
 }
+
+// HighFrac returns the normalized High watermark: where ladder steps
+// that remediate resources without shedding belong.
+func (g *Governor) HighFrac() float64 { return g.cfg.HighFrac }
+
+// CriticalFrac returns the normalized Critical watermark.
+func (g *Governor) CriticalFrac() float64 { return g.cfg.CriticalFrac }
 
 // Track registers a byte source under the budget. Not safe after
 // Start.

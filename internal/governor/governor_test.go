@@ -15,6 +15,54 @@ func TestNewRejectsBadBudget(t *testing.T) {
 	}
 }
 
+// TestNewNormalizesWatermarks is the governor's defaults-and-validation
+// table: zero watermarks take the defaults, the normalized fractions
+// are what the governor reports, and settings that make no sense are
+// rejected instead of silently repaired.
+func TestNewNormalizesWatermarks(t *testing.T) {
+	tests := []struct {
+		name               string
+		cfg                Config
+		wantErr            bool
+		wantHigh, wantCrit float64
+	}{
+		{"defaults", Config{BudgetBytes: 1}, false, DefaultHighFrac, DefaultCriticalFrac},
+		{"explicit", Config{BudgetBytes: 1, HighFrac: 0.5, CriticalFrac: 0.8}, false, 0.5, 0.8},
+		{"equal watermarks", Config{BudgetBytes: 1, HighFrac: 0.8, CriticalFrac: 0.8}, false, 0.8, 0.8},
+		{"full budget", Config{BudgetBytes: 1, HighFrac: 1, CriticalFrac: 1}, false, 1, 1},
+		{"high only", Config{BudgetBytes: 1, HighFrac: 0.6}, false, 0.6, DefaultCriticalFrac},
+		{"critical only", Config{BudgetBytes: 1, CriticalFrac: 0.95}, false, DefaultHighFrac, 0.95},
+		{"inverted", Config{BudgetBytes: 1, HighFrac: 0.8, CriticalFrac: 0.5}, true, 0, 0},
+		{"critical below default high", Config{BudgetBytes: 1, CriticalFrac: 0.5}, true, 0, 0},
+		{"high above budget", Config{BudgetBytes: 1, HighFrac: 1.5, CriticalFrac: 1.5}, true, 0, 0},
+		{"critical above budget", Config{BudgetBytes: 1, CriticalFrac: 1.2}, true, 0, 0},
+		{"negative high", Config{BudgetBytes: 1, HighFrac: -0.1}, true, 0, 0},
+		{"negative critical", Config{BudgetBytes: 1, CriticalFrac: -0.9}, true, 0, 0},
+		{"no budget", Config{HighFrac: 0.5, CriticalFrac: 0.8}, true, 0, 0},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			g, err := New(tt.cfg)
+			if tt.wantErr {
+				if err == nil {
+					t.Fatalf("New(%+v) = nil error, want rejection", tt.cfg)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("New(%+v): %v", tt.cfg, err)
+			}
+			defer g.Close()
+			if g.HighFrac() != tt.wantHigh {
+				t.Errorf("HighFrac = %v, want %v", g.HighFrac(), tt.wantHigh)
+			}
+			if g.CriticalFrac() != tt.wantCrit {
+				t.Errorf("CriticalFrac = %v, want %v", g.CriticalFrac(), tt.wantCrit)
+			}
+		})
+	}
+}
+
 // TestBandsAndHysteresis drives pressure up and down across the
 // watermarks and checks the band rises at the watermark but falls only
 // below watermark − hysteresis.

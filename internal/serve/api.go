@@ -1,9 +1,10 @@
 // The serving tier's public contract: the Inferencer interface every
-// deployment shape implements (the single-process Server here, the
-// table-partitioned cluster frontend in internal/cluster), the unified
-// shard constructor, the typed overload error, and the shared hot-cache
-// builder — the pieces drivers program against so single-node and
-// cluster deployments are interchangeable.
+// deployment shape implements (the Server here, and the
+// table-partitioned cluster frontend in internal/cluster, which is a
+// Server over gather shards), the engine-replica constructor, the typed
+// overload error, and the shared hot-cache builder — the pieces drivers
+// program against so single-node and cluster deployments are
+// interchangeable.
 package serve
 
 import (
@@ -19,9 +20,10 @@ import (
 
 // Inferencer is the serving contract every deployment shape satisfies:
 // the single-process *Server and the cluster frontend that partitions
-// the embedding tables across backend nodes. Drivers (load generators,
-// HTTP transports, examples) should accept an Inferencer so the same
-// code exercises both.
+// the embedding tables across backend nodes (itself a *Server over
+// gather shards, so both share admission, QoS and stats). Drivers (load
+// generators, HTTP transports, examples) should accept an Inferencer so
+// the same code exercises both.
 //
 // Error taxonomy, common to all implementations:
 //

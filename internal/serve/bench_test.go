@@ -5,6 +5,7 @@ import (
 	"os"
 	"testing"
 
+	"updlrm/internal/core"
 	"updlrm/internal/obs"
 	"updlrm/internal/tensor"
 )
@@ -36,7 +37,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 		b.Run(bench.name, func(b *testing.B) {
 			model, profile, ecfg := testFixture(b)
 			ecfg.Kernel = benchKernel(b)
-			engines, err := NewReplicated(model, profile, ecfg, 2)
+			engines, err := NewShards(model, profile, []core.Config{ecfg, ecfg})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"updlrm/internal/governor"
+	"updlrm/internal/hotcache"
 )
 
 // pendingOverheadBytes estimates one queued request's fixed footprint
@@ -66,22 +67,9 @@ func (s *Server) initGovernor(cfg governor.Config) error {
 	if err != nil {
 		return err
 	}
-	highFrac := cfg.HighFrac
-	if highFrac <= 0 {
-		highFrac = governor.DefaultHighFrac
-	}
-	criticalFrac := cfg.CriticalFrac
-	if criticalFrac <= 0 {
-		criticalFrac = governor.DefaultCriticalFrac
-	}
-	if criticalFrac < highFrac {
-		criticalFrac = highFrac
-	}
 	s.gov = g
-	s.govHighFrac = highFrac
 
 	if s.cache != nil {
-		s.origCacheCap = s.cache.CapacityBytes()
 		g.Track("hotcache", s.cache.SizeBytes)
 	}
 	for i, eng := range s.engines {
@@ -89,8 +77,26 @@ func (s *Server) initGovernor(cfg governor.Config) error {
 	}
 	g.Track("queues", s.queueBytes)
 
-	g.AddStep("shrink-cache", highFrac, s.applyShrink, s.releaseShrink)
-	g.AddStep("shed-batch", criticalFrac,
+	// The High-watermark remediation, re-applied on every observation
+	// while pressure holds: shrink the hot cache and freeze each shard's
+	// scratch-arena growth at its current footprint. Freezing trades
+	// occasional scratch re-allocation on an oversized batch for bounded
+	// bytes — the governor's bargain under pressure.
+	shrink, restore := CacheShrinkStep(g, s.cache)
+	g.AddStep("shrink-cache", g.HighFrac(),
+		func(pressure float64) {
+			shrink(pressure)
+			for _, eng := range s.engines {
+				eng.SetArenaCap(max(eng.ArenaBytes(), 1))
+			}
+		},
+		func() {
+			restore()
+			for _, eng := range s.engines {
+				eng.SetArenaCap(0)
+			}
+		})
+	g.AddStep("shed-batch", g.CriticalFrac(),
 		func(float64) { s.setShed(Batch, true) },
 		func() { s.setShed(Batch, false) })
 	g.AddStep("shed-normal", 1.0,
@@ -100,48 +106,32 @@ func (s *Server) initGovernor(cfg governor.Config) error {
 	return nil
 }
 
-// applyShrink is the High-watermark remediation, re-applied on every
-// observation while pressure holds: evict the watermark overage from
-// the hot cache (down to a floor of 1/8 the configured capacity, so a
-// shrunk cache still serves its hottest rows) and freeze each shard's
-// scratch-arena growth at its current footprint. Freezing trades
-// occasional scratch re-allocation on an oversized batch for bounded
-// bytes — the governor's bargain under pressure.
-func (s *Server) applyShrink(pressure float64) {
-	if s.cache != nil && s.origCacheCap > 0 {
-		over := int64((pressure - s.govHighFrac) * float64(s.gov.BudgetBytes()))
-		target := s.cache.CapacityBytes() - over
-		floor := s.origCacheCap / 8
-		if floor < 1 {
-			floor = 1
-		}
-		if target < floor {
-			target = floor
-		}
-		if target < s.cache.CapacityBytes() {
-			s.cache.Resize(target)
+// CacheShrinkStep returns the hot-cache rung of a degradation ladder,
+// shared by the server and the cluster backends. apply evicts the
+// pressure's overage above the governor's High watermark from the
+// cache, down to a floor of 1/8 of the configured capacity so a shrunk
+// cache still serves its hottest rows; release restores the configured
+// capacity (entries refill from live traffic — the oscillation this
+// could cause is bounded by the refill time plus the governor's
+// hysteresis). A nil or empty cache yields no-op steps.
+func CacheShrinkStep(g *governor.Governor, cache *hotcache.Cache) (apply func(pressure float64), release func()) {
+	orig := cache.CapacityBytes()
+	if orig <= 0 {
+		return func(float64) {}, func() {}
+	}
+	apply = func(pressure float64) {
+		over := int64((pressure - g.HighFrac()) * float64(g.BudgetBytes()))
+		target := max(cache.CapacityBytes()-over, orig/8, 1)
+		if target < cache.CapacityBytes() {
+			cache.Resize(target)
 		}
 	}
-	for _, eng := range s.engines {
-		capBytes := eng.ArenaBytes()
-		if capBytes < 1 {
-			capBytes = 1
+	release = func() {
+		if cache.CapacityBytes() < orig {
+			cache.Resize(orig)
 		}
-		eng.SetArenaCap(capBytes)
 	}
-}
-
-// releaseShrink undoes the High-watermark remediation once pressure
-// drains: the cache re-grows to its configured capacity (entries refill
-// from live traffic — the oscillation this could cause is bounded by
-// the refill time plus the governor's hysteresis) and arena caps lift.
-func (s *Server) releaseShrink() {
-	if s.cache != nil && s.origCacheCap > 0 && s.cache.CapacityBytes() < s.origCacheCap {
-		s.cache.Resize(s.origCacheCap)
-	}
-	for _, eng := range s.engines {
-		eng.SetArenaCap(0)
-	}
+	return apply, release
 }
 
 // setShed flips one class's admission-gate bit.
@@ -235,7 +225,7 @@ func (s *Server) prober() {
 		job := &updateJob{
 			probe:     true,
 			enq:       time.Now(),
-			remaining: len(s.engines),
+			remaining: len(s.shards),
 			done:      make(chan struct{}),
 		}
 		// Same send discipline as ApplyDeltas: the read lock keeps Close

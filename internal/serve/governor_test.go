@@ -30,7 +30,7 @@ func newGovernedServer(t *testing.T, shards int, cacheBytes int64, scfg Config) 
 	}
 	cfgs := make([]core.Config, shards)
 	for i := range cfgs {
-		cfgs[i] = ecfg.Clone()
+		cfgs[i] = ecfg
 		cfgs[i].HotCache = cache
 	}
 	engines, err := NewShards(model, profile, cfgs)
@@ -232,7 +232,7 @@ func TestGovernorShrinkCoherentUnderUpdates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgs := []core.Config{ecfg.Clone(), ecfg.Clone()}
+	cfgs := []core.Config{ecfg, ecfg}
 	for i := range cfgs {
 		cfgs[i].HotCache = cache
 	}
@@ -248,7 +248,7 @@ func TestGovernorShrinkCoherentUnderUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	ref, err := core.New(model.Clone(), profile, ecfg.Clone())
+	ref, err := core.New(model.Clone(), profile, ecfg)
 	if err != nil {
 		t.Fatal(err)
 	}

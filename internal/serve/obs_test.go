@@ -5,12 +5,14 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"updlrm/internal/core"
 	"updlrm/internal/hotcache"
 	"updlrm/internal/obs"
 )
@@ -25,7 +27,7 @@ func newObsServer(t *testing.T, shards int, scfg Config) (*Server, *obs.Registry
 		t.Fatal(err)
 	}
 	ecfg.HotCache = cache
-	engines, err := NewReplicated(model, profile, ecfg, shards)
+	engines, err := NewShards(model, profile, slices.Repeat([]core.Config{ecfg}, shards))
 	if err != nil {
 		t.Fatal(err)
 	}

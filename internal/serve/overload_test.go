@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -189,7 +190,7 @@ func newCachedServer(t *testing.T, shards int, frac float64, scfg Config) (*Serv
 		t.Fatalf("cache at %.1f%% of %d B collapsed to nil", 100*frac, totalBytes)
 	}
 	ecfg.HotCache = cache
-	engines, err := NewReplicated(model, profile, ecfg, shards)
+	engines, err := NewShards(model, profile, slices.Repeat([]core.Config{ecfg}, shards))
 	if err != nil {
 		t.Fatal(err)
 	}

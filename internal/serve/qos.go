@@ -199,9 +199,12 @@ func (s *Server) scheduler() {
 		deficit [NumClasses]float64
 		open    = [NumClasses]bool{}
 		// The update lane: staged jobs are broadcast to every shard at
-		// the top of the loop, ahead of further micro-batches.
+		// the top of the loop, ahead of further micro-batches. updSeq
+		// numbers delta jobs in the order they are dequeued — the order
+		// every shard applies them in.
 		updates []*updateJob
 		updOpen = true
+		updSeq  uint64
 	)
 	for c := range open {
 		open[c] = true
@@ -216,6 +219,10 @@ func (s *Server) scheduler() {
 		if !ok {
 			updOpen = false
 			return
+		}
+		if !j.probe {
+			updSeq++
+			j.seq = updSeq
 		}
 		updates = append(updates, j)
 	}
@@ -489,7 +496,7 @@ const predWaitFreshnessNs = int64(250 * time.Millisecond)
 // Called only from the scheduler goroutine, once per DRR round.
 func (s *Server) publishWait(staged *[NumClasses][]*pending) {
 	backlogNs, perReqNs := s.router.waitBasis()
-	shards := float64(len(s.engines))
+	shards := float64(len(s.shards))
 	ahead := 0.0
 	for _, c := range classOrder {
 		ahead += float64(len(staged[c]) + len(s.classCh[c]))

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"updlrm/internal/core"
 )
 
 // TestClassString pins the class labels reports rely on.
@@ -247,7 +249,7 @@ func TestCriticalP99UnderMixedLoad(t *testing.T) {
 	// the QoS run lets Critical jump it.
 	const requests = 640
 	run := func(mixed bool) Stats {
-		engines, err := NewReplicated(model, profile, ecfg, 1)
+		engines, err := NewShards(model, profile, []core.Config{ecfg})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -86,10 +86,10 @@ func referenceCost(t *testing.T, eng *core.Engine, profile *trace.Trace, n int) 
 // consistent per-shard accounting in Stats.
 func TestHeteroRoutesToCheaperShard(t *testing.T) {
 	model, profile, ecfg := testFixture(t)
-	fast := ecfg.Clone()
-	slow := ecfg.Clone()
+	fast := ecfg
+	slow := ecfg
 	slow.TotalDPUs = 16
-	engines, err := NewHeteroReplicated(model, profile, []core.Config{slow, fast})
+	engines, err := NewShards(model, profile, []core.Config{slow, fast})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +153,11 @@ func TestHeteroRoutesToCheaperShard(t *testing.T) {
 // may not).
 func TestHeteroMethodsRouteAndStayBitIdentical(t *testing.T) {
 	model, profile, ecfg := testFixture(t)
-	uni := ecfg.Clone()
+	uni := ecfg
 	uni.Method = partition.MethodUniform
-	non := ecfg.Clone()
+	non := ecfg
 	non.Method = partition.MethodNonUniform
-	engines, err := NewHeteroReplicated(model, profile, []core.Config{uni, non})
+	engines, err := NewShards(model, profile, []core.Config{uni, non})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,11 +216,11 @@ func TestHeteroMethodsRouteAndStayBitIdentical(t *testing.T) {
 // server — routing choice invisible in the results, whole-trace.
 func TestHeteroNonArithmeticBitIdenticalToHomogeneous(t *testing.T) {
 	model, profile, ecfg := testFixture(t)
-	a := ecfg.Clone()
+	a := ecfg
 	a.HostWorkers = 1
-	b := ecfg.Clone()
+	b := ecfg
 	b.HostWorkers = 3
-	engines, err := NewHeteroReplicated(model, profile, []core.Config{a, b})
+	engines, err := NewShards(model, profile, []core.Config{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}

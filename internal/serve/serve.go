@@ -1,18 +1,22 @@
-// Package serve is the concurrent serving runtime: N independent
-// core.Engine replicas (each with its own partition plan and simulated
-// DPU ranks) behind a QoS-aware request scheduler. Requests carry one
-// of three priority classes (Critical/Normal/Batch); a weighted
-// deficit-round-robin scheduler drains the per-class admission queues,
-// coalesces same-class micro-batches within per-class windows, and a
-// profile-driven router dispatches each batch to the shard predicted
-// cheapest for it — which makes heterogeneous shard sets (replicas
-// running different partition methods or tile shapes) first-class:
-// traffic concentrates on whichever configuration serves the offered
-// batches fastest. Results fan back out with per-request modeled
-// latency (measured queueing plus the batch's modeled breakdown). This
-// is the deployment shape the paper's §4 evaluation implies: the
-// per-batch simulator turned into a system that can absorb an open,
-// mixed-priority request stream.
+// Package serve is the concurrent serving runtime and the repository's
+// one request front end: N shards behind a QoS-aware request scheduler.
+// A shard is either an independent core.Engine replica (each with its
+// own partition plan and simulated DPU ranks; see New) or one of
+// internal/cluster's gather shards, which run a micro-batch over the
+// table-partitioned multi-node fabric (see NewFromShards and the Shard
+// seam). Requests carry one of three priority classes
+// (Critical/Normal/Batch); a weighted deficit-round-robin scheduler
+// drains the per-class admission queues, coalesces same-class
+// micro-batches within per-class windows, and a profile-driven router
+// dispatches each batch to the shard predicted cheapest for it — which
+// makes heterogeneous shard sets (replicas running different partition
+// methods or tile shapes) first-class: traffic concentrates on
+// whichever configuration serves the offered batches fastest. Results
+// fan back out with per-request modeled latency (measured queueing
+// plus the batch's modeled breakdown). This is the deployment shape
+// the paper's §4 evaluation implies: the per-batch simulator turned
+// into a system that can absorb an open, mixed-priority request
+// stream.
 package serve
 
 import (
@@ -24,7 +28,6 @@ import (
 	"time"
 
 	"updlrm/internal/core"
-	"updlrm/internal/dlrm"
 	"updlrm/internal/governor"
 	"updlrm/internal/hotcache"
 	"updlrm/internal/metrics"
@@ -104,11 +107,10 @@ type Config struct {
 	Classes [NumClasses]ClassConfig
 	// ShardConfigs, when non-empty, makes the serving tier
 	// heterogeneous: constructors that build their own replicas (the
-	// facade's NewServer, NewHeteroReplicated) build shard i from
-	// ShardConfigs[i] — different partition methods, tile shapes, cache
-	// or pipeline settings per replica — and Shards becomes
-	// len(ShardConfigs). serve.New itself ignores it (its engines are
-	// already built).
+	// facade's NewServer) build shard i from ShardConfigs[i] — different
+	// partition methods, tile shapes, cache or pipeline settings per
+	// replica — and Shards becomes len(ShardConfigs). serve.New itself
+	// ignores it (its engines are already built).
 	ShardConfigs []core.Config
 	// HotCache sizes the serving-tier hot-row embedding cache shared by
 	// every shard (see package hotcache). The facade's NewServer builds
@@ -275,11 +277,15 @@ func copyRequest(req Request) Request {
 	return cp
 }
 
-// Server shards engine replicas behind the QoS scheduler.
+// Server runs shards behind the QoS scheduler.
 type Server struct {
 	cfg   Config
 	class [NumClasses]classParams
 
+	shards []Shard
+	// engines are the shards' local engines, for the engine-only
+	// concerns (governor arena tracking, engine instrumentation); empty
+	// when the shards are not local replicas.
 	engines []*core.Engine
 
 	numTables    int
@@ -309,12 +315,8 @@ type Server struct {
 	cache *hotcache.Cache
 
 	// gov is the pressure governor (nil when Config.Governor.BudgetBytes
-	// is zero); govHighFrac and origCacheCap are the shrink step's
-	// anchors (the watermark overage is shed from the cache, and release
-	// restores the configured capacity).
-	gov          *governor.Governor
-	govHighFrac  float64
-	origCacheCap int64
+	// is zero).
+	gov *governor.Governor
 	// shedMask is the governor's admission gate: bit (1 << Class) set
 	// means Predict sheds that class at the door. Critical's bit is
 	// never set by the ladder.
@@ -349,66 +351,72 @@ type Server struct {
 	testHookRoute func(class Class, size int, shard int)
 }
 
-// NewReplicated builds n independent engine replicas from one shared
-// config.
-//
-// Deprecated: use NewShards with the config repeated n times — the
-// homogeneous deployment is just the degenerate heterogeneous one. This
-// wrapper remains for source compatibility and will not grow new
-// behavior.
-func NewReplicated(model *dlrm.Model, profile *trace.Trace, ecfg core.Config, n int) ([]*core.Engine, error) {
-	if n <= 0 {
-		n = DefaultShards
-	}
-	cfgs := make([]core.Config, n)
-	for i := range cfgs {
-		cfgs[i] = ecfg.Clone()
-	}
-	return NewShards(model, profile, cfgs)
-}
-
-// NewHeteroReplicated builds one engine replica per config.
-//
-// Deprecated: renamed to NewShards, which is the single constructor
-// both homogeneous and heterogeneous deployments go through. This
-// wrapper remains for source compatibility and will not grow new
-// behavior.
-func NewHeteroReplicated(model *dlrm.Model, profile *trace.Trace, cfgs []core.Config) ([]*core.Engine, error) {
-	return NewShards(model, profile, cfgs)
-}
-
 // New starts a server over the given engine replicas. All replicas must
 // serve the same model shape (their partitioning may differ — that is
-// the heterogeneous-shard case the router exists for). The server owns
-// background goroutines until Close.
+// the heterogeneous-shard case the router exists for) and share one hot
+// cache (or none). The server owns background goroutines until Close.
 func New(engines []*core.Engine, cfg Config) (*Server, error) {
 	if len(engines) == 0 {
 		return nil, fmt.Errorf("serve: no engines")
 	}
-	cfg.Shards = len(engines)
-	cfg = cfg.withDefaults()
 	first := engines[0]
-	for i, e := range engines[1:] {
+	shards := make([]Shard, len(engines))
+	for i, e := range engines {
 		if e.NumTables() != first.NumTables() || e.DenseDim() != first.DenseDim() {
-			return nil, fmt.Errorf("serve: replica %d shape differs from replica 0", i+1)
+			return nil, fmt.Errorf("serve: replica %d shape differs from replica 0", i)
 		}
 		if e.HotCache() != first.HotCache() {
-			return nil, fmt.Errorf("serve: replica %d does not share replica 0's hot cache", i+1)
+			return nil, fmt.Errorf("serve: replica %d does not share replica 0's hot cache", i)
 		}
+		shards[i] = engineShard{e}
 	}
+	shape := Shape{
+		NumTables:    first.NumTables(),
+		RowsPerTable: first.RowsPerTable(),
+		DenseDim:     first.DenseDim(),
+		EmbDim:       first.EmbDim(),
+	}
+	return newServer(shards, shape, engines, cfg)
+}
+
+// NewFromShards starts a server over shards that are not local engine
+// replicas — the cluster's gather shards. Requests and deltas are
+// validated against shape. Engine-only machinery (the governor's arena
+// tracking, engine instrumentation, the shared hot cache) is absent;
+// everything else — QoS classes, SLO shedding, micro-batching, routing,
+// the update lane, Stats and metrics — is the same server.
+func NewFromShards(shards []Shard, shape Shape, cfg Config) (*Server, error) {
+	if len(shards) == 0 {
+		return nil, fmt.Errorf("serve: no shards")
+	}
+	if shape.NumTables <= 0 || len(shape.RowsPerTable) != shape.NumTables || shape.DenseDim <= 0 || shape.EmbDim <= 0 {
+		return nil, fmt.Errorf("serve: invalid shape %+v", shape)
+	}
+	shape.RowsPerTable = append([]int(nil), shape.RowsPerTable...)
+	return newServer(shards, shape, nil, cfg)
+}
+
+// newServer is the constructor both entry points share; engines is
+// empty unless the shards are local engine replicas.
+func newServer(shards []Shard, shape Shape, engines []*core.Engine, cfg Config) (*Server, error) {
+	cfg.Shards = len(shards)
+	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:          cfg,
+		shards:       shards,
 		engines:      engines,
-		numTables:    first.NumTables(),
-		rowsPerTable: first.RowsPerTable(),
-		denseDim:     first.DenseDim(),
-		embDim:       first.EmbDim(),
-		shardCh:      make([]chan *microBatch, len(engines)),
+		numTables:    shape.NumTables,
+		rowsPerTable: shape.RowsPerTable,
+		denseDim:     shape.DenseDim,
+		embDim:       shape.EmbDim,
+		shardCh:      make([]chan *microBatch, len(shards)),
 		updateCh:     make(chan *updateJob, updateQueueDepth),
-		router:       newRouter(len(engines)),
+		router:       newRouter(len(shards)),
 		stats:        newCollector(),
 		tracer:       cfg.Tracer,
-		cache:        first.HotCache(),
+	}
+	if len(engines) > 0 {
+		s.cache = engines[0].HotCache()
 	}
 	for c := Class(0); c < NumClasses; c++ {
 		s.class[c] = cfg.classParams(c)
@@ -429,31 +437,17 @@ func New(engines []*core.Engine, cfg Config) (*Server, error) {
 	// goroutine starts: registration locks and allocates, the running
 	// hot path must not.
 	s.obs = newServeObs(cfg.Metrics, s)
-	// Seed each shard's cost profile from the engine's static probes —
-	// one single-request batch and one MaxBatch-sized batch, pinning the
-	// affine fixed-plus-marginal cost fit — so the very first batches
-	// already route toward the configuration predicted cheapest for
-	// their size; live observations take over via the EWMA. Engines are
-	// idle here, so the probes' use of the scratch arena is safe.
-	for i, eng := range engines {
-		var points []profilePoint
-		if bd, n, err := eng.EstimateBreakdown(1); err == nil {
-			points = append(points, profilePoint{n: n, cost: bd.TotalNs(), bd: bd})
-		}
-		if cfg.MaxBatch > 1 {
-			if bd, n, err := eng.EstimateBreakdown(cfg.MaxBatch); err == nil &&
-				(len(points) == 0 || n != points[0].n) {
-				points = append(points, profilePoint{n: n, cost: bd.TotalNs(), bd: bd})
-			}
-		}
-		s.router.seed(i, points)
-	}
-	for i := range engines {
+	// Seed each shard's cost profile from its static probes, so the very
+	// first batches already route toward the configuration predicted
+	// cheapest for their size; live observations take over via the EWMA.
+	// Shards are idle here, so the probes' use of engine scratch is safe.
+	for i := range shards {
+		s.router.seed(i, s.probePoints(i))
 		s.shardCh[i] = make(chan *microBatch, shardChanCap)
 	}
 	s.wg.Add(1)
 	go s.scheduler()
-	for i := range engines {
+	for i := range shards {
 		s.wg.Add(1)
 		go s.worker(i)
 	}
@@ -598,7 +592,7 @@ func (s *Server) Predict(ctx context.Context, req Request) (Response, error) {
 // during batch i's lookup kernels.
 func (s *Server) worker(shard int) {
 	defer s.wg.Done()
-	eng := s.engines[shard]
+	sh := s.shards[shard]
 	pipelined := s.cfg.pipelineFor(shard)
 	// Pipelined-mode state: the resource schedule, the serial-rule
 	// completion clock it is compared against, and the wall-clock anchor
@@ -660,7 +654,7 @@ func (s *Server) worker(shard int) {
 			tr.Samples = append(tr.Samples, trace.Sample{Dense: p.req.Dense, Sparse: p.req.Sparse})
 		}
 		batch.Reset(&tr, 0, len(pend))
-		res, err := eng.RunBatch(&batch)
+		res, err := sh.RunBatch(&batch)
 		if err != nil {
 			for _, p := range pend {
 				p.done <- outcome{err: fmt.Errorf("serve: shard %d: %w", shard, err)}

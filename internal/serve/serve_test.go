@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -39,7 +40,7 @@ func testFixture(t testing.TB) (*dlrm.Model, *trace.Trace, core.Config) {
 func newTestServer(t *testing.T, shards int, scfg Config) (*Server, *trace.Trace, *core.Engine) {
 	t.Helper()
 	model, profile, ecfg := testFixture(t)
-	engines, err := NewReplicated(model, profile, ecfg, shards)
+	engines, err := NewShards(model, profile, slices.Repeat([]core.Config{ecfg}, shards))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,12 +333,18 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestNewReplicatedRejectsBadInput(t *testing.T) {
-	_, profile, ecfg := testFixture(t)
-	if _, err := NewReplicated(nil, profile, ecfg, 2); err == nil {
+func TestNewShardsRejectsBadInput(t *testing.T) {
+	model, profile, ecfg := testFixture(t)
+	if _, err := NewShards(nil, profile, []core.Config{ecfg, ecfg}); err == nil {
 		t.Fatal("nil model accepted")
+	}
+	if _, err := NewShards(model, profile, nil); err == nil {
+		t.Fatal("empty config set accepted")
 	}
 	if _, err := New(nil, Config{}); err == nil {
 		t.Fatal("empty engine set accepted")
+	}
+	if _, err := NewFromShards(nil, Shape{NumTables: 1, RowsPerTable: []int{8}, DenseDim: 4, EmbDim: 4}, Config{}); err == nil {
+		t.Fatal("empty shard set accepted")
 	}
 }

@@ -46,6 +46,9 @@ type updateJob struct {
 	deltas []Delta
 	probe  bool
 	enq    time.Time
+	// seq is the delta job's admission sequence number, stamped by the
+	// scheduler as it dequeues the job (zero for probes).
+	seq uint64
 
 	mu            sync.Mutex
 	remaining     int
@@ -93,7 +96,7 @@ func (s *Server) ApplyDeltas(ctx context.Context, deltas []Delta) error {
 	job := &updateJob{
 		deltas:    make([]Delta, len(deltas)),
 		enq:       time.Now(),
-		remaining: len(s.engines),
+		remaining: len(s.shards),
 		done:      make(chan struct{}),
 	}
 	for i, d := range deltas {
@@ -134,19 +137,7 @@ func (s *Server) ApplyDeltas(ctx context.Context, deltas []Delta) error {
 // drifted profile honest. The last shard to finish counts the re-probe
 // and releases the prober.
 func (s *Server) applyProbe(shard int, job *updateJob) {
-	eng := s.engines[shard]
-	var points []profilePoint
-	if bd, n, err := eng.EstimateBreakdown(1); err == nil {
-		points = append(points, profilePoint{n: n, cost: bd.TotalNs(), bd: bd})
-	}
-	if s.cfg.MaxBatch > 1 {
-		if bd, n, err := eng.EstimateBreakdown(s.cfg.MaxBatch); err == nil &&
-			(len(points) == 0 || n != points[0].n) {
-			points = append(points, profilePoint{n: n, cost: bd.TotalNs(), bd: bd})
-		}
-	}
-	s.router.reseed(shard, points)
-
+	s.router.reseed(shard, s.probePoints(shard))
 	job.mu.Lock()
 	job.remaining--
 	last := job.remaining == 0
@@ -158,44 +149,18 @@ func (s *Server) applyProbe(shard int, job *updateJob) {
 	}
 }
 
-// applyUpdate runs one broadcast update on this worker's engine,
-// grouping the job's deltas per table. The last shard to finish records
-// the job's stats and releases the waiting ApplyDeltas call.
+// applyUpdate runs one broadcast update on this worker's shard. The
+// last shard to finish records the job's stats and releases the waiting
+// ApplyDeltas call.
 func (s *Server) applyUpdate(shard int, job *updateJob) {
-	eng := s.engines[shard]
-	var firstErr error
-	var inval int64
-	var modeled float64
-	for t := 0; t < s.numTables; t++ {
-		var rows []int32
-		var flat []float32
-		for _, d := range job.deltas {
-			if d.Table == t {
-				rows = append(rows, d.Row)
-				flat = append(flat, d.Vec...)
-			}
-		}
-		if len(rows) == 0 {
-			continue
-		}
-		res, err := eng.ApplyDeltas(t, rows, flat)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("serve: shard %d update: %w", shard, err)
-			}
-			continue
-		}
-		inval += res.Invalidations
-		modeled += res.Breakdown.UpdateNs
-	}
-
+	res, err := s.shards[shard].ApplyUpdate(UpdateJob{Seq: job.seq, Deltas: job.deltas})
 	job.mu.Lock()
-	job.invalidations += inval
-	if modeled > job.modeledNs {
-		job.modeledNs = modeled // shards apply in parallel; charge the slowest
+	job.invalidations += res.Invalidations
+	if res.ModeledNs > job.modeledNs {
+		job.modeledNs = res.ModeledNs // shards apply in parallel; charge the slowest
 	}
-	if firstErr != nil && job.err == nil {
-		job.err = firstErr
+	if err != nil && job.err == nil {
+		job.err = fmt.Errorf("serve: shard %d update: %w", shard, err)
 	}
 	job.remaining--
 	last := job.remaining == 0

@@ -221,7 +221,7 @@ func TestApplyDeltasInvalidatesSharedCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	ecfg.HotCache = cache
-	engines, err := NewReplicated(model, profile, ecfg, 2)
+	engines, err := NewShards(model, profile, []core.Config{ecfg, ecfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestApplyDeltasInvalidatesSharedCache(t *testing.T) {
 	}
 
 	// Reference: a cache-less engine receiving the same deltas.
-	refCfg := ecfg.Clone()
+	refCfg := ecfg
 	refCfg.HotCache = nil
 	ref, err := core.New(model.Clone(), profile, refCfg)
 	if err != nil {
@@ -300,7 +300,7 @@ func TestApplyDeltasInvalidatesSharedCache(t *testing.T) {
 func BenchmarkServeMixedRW(b *testing.B) {
 	model, profile, ecfg := testFixture(b)
 	ecfg.Kernel = benchKernel(b)
-	engines, err := NewReplicated(model, profile, ecfg, 2)
+	engines, err := NewShards(model, profile, []core.Config{ecfg, ecfg})
 	if err != nil {
 		b.Fatal(err)
 	}

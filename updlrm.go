@@ -544,7 +544,7 @@ func NewServer(model *Model, profile *Trace, ecfg EngineConfig, cfg ServerConfig
 	}
 	cfgs := make([]EngineConfig, len(shardCfgs))
 	for i, sc := range shardCfgs {
-		cfgs[i] = sc.Clone()
+		cfgs[i] = sc
 		if cache != nil {
 			cfgs[i].HotCache = cache
 		}

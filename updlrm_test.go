@@ -284,7 +284,7 @@ func TestFacadeQoSHeterogeneous(t *testing.T) {
 	uni := DefaultEngineConfig()
 	uni.TotalDPUs = 64
 	uni.Method = Uniform
-	non := uni.Clone()
+	non := uni
 	non.Method = NonUniform
 	srv, err := NewServer(model, tr, EngineConfig{}, ServerConfig{
 		ShardConfigs: []EngineConfig{uni, non},
