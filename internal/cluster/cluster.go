@@ -111,8 +111,9 @@ type Config struct {
 	// router, update lane) plus the cluster instrument families:
 	// per-node RPC and error counters, hedge/failover counters,
 	// gather-latency histograms, modeled network time and degraded
-	// gauges. Pre-resolved at construction; nil leaves the frontend
-	// uninstrumented.
+	// gauges. Pre-resolved at construction. The same instruments back
+	// Stats and ClusterStats, so they are kept either way: nil means
+	// they are not exported.
 	Metrics *obs.Registry
 }
 

@@ -17,7 +17,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"updlrm/internal/core"
@@ -40,11 +39,7 @@ type Frontend struct {
 	tr     Transport
 	health *health
 	obs    *clusterObs
-	nc     []nodeCounters
-	// gatherBatches and networkNs (float64 bits) back ClusterStats'
-	// fabric totals.
-	gatherBatches atomic.Int64
-	networkNs     atomicFloat64
+	gov    []nodeGovernor
 
 	numTables int
 	embDim    int
@@ -120,7 +115,7 @@ func NewFrontend(model *dlrm.Model, profile *trace.Trace, ecfg core.Config, cfg 
 		tr:        tr,
 		health:    h,
 		obs:       newClusterObs(norm.Metrics, norm.Nodes, h),
-		nc:        make([]nodeCounters, len(norm.Nodes)),
+		gov:       make([]nodeGovernor, len(norm.Nodes)),
 		numTables: model.Cfg.NumTables(),
 		embDim:    model.Cfg.EmbDim,
 		flops:     model.FLOPsPerSample(),
@@ -316,13 +311,10 @@ func (f *Frontend) callLookup(ctx context.Context, c nodeCall, b *trace.Batch, d
 			if out.err == nil {
 				f.health.success(c.node)
 				respBytes := out.resp.WireBytes()
-				nc := &f.nc[c.node]
-				nc.lookups.Add(1)
-				nc.bytesSent.Add(reqBytes)
-				nc.bytesRecv.Add(respBytes)
 				if out.resp.GovernorBand != 0 {
-					nc.govBand.Store(out.resp.GovernorBand)
-					nc.govPressure.Store(math.Float64bits(out.resp.Pressure))
+					g := &f.gov[c.node]
+					g.band.Store(out.resp.GovernorBand)
+					g.pressure.Store(math.Float64bits(out.resp.Pressure))
 				}
 				f.obs.recordLookup(c.node, reqBytes, respBytes)
 				return []callResult{{
@@ -332,8 +324,7 @@ func (f *Frontend) callLookup(ctx context.Context, c nodeCall, b *trace.Batch, d
 					rtNs:   f.cfg.Link.RoundTripNs(reqBytes, respBytes),
 				}}, nil
 			}
-			f.nc[c.node].errors.Add(1)
-			f.obs.recordRPCError(c.node)
+			f.obs.recordLookupError(c.node)
 			f.health.failure(c.node)
 			if hedgeC != nil {
 				// A hedge is already in flight for these ranges; its
@@ -344,7 +335,6 @@ func (f *Frontend) callLookup(ctx context.Context, c nodeCall, b *trace.Batch, d
 			if depth > 0 {
 				return nil, fmt.Errorf("cluster: node %s: %w", f.place.nodes[c.node], out.err)
 			}
-			f.nc[c.node].failovers.Add(1)
 			f.obs.recordFailover(c.node)
 			calls, err := f.rerouteCalls(c, b)
 			if err != nil {
@@ -353,7 +343,6 @@ func (f *Frontend) callLookup(ctx context.Context, c nodeCall, b *trace.Batch, d
 			return f.gather(ctx, calls, nil, 1)
 		case <-timerC:
 			timerC = nil
-			f.nc[c.node].hedges.Add(1)
 			f.obs.recordHedge(c.node)
 			hedgeC = make(chan lookupOutcome, 1)
 			// The hedge leg may outlive this batch (a winning primary
@@ -510,8 +499,6 @@ func (g *gatherShard) RunBatch(b *trace.Batch) (*core.Result, error) {
 	g.res.Breakdown = bd
 	g.res.MRAMBytesRead = mram
 
-	f.gatherBatches.Add(1)
-	f.networkNs.Add(netNs)
 	f.obs.recordBatch(float64(time.Since(start).Nanoseconds()), netNs)
 	return &g.res, nil
 }
@@ -625,8 +612,7 @@ func (f *Frontend) fanOutUpdate(deltas []serve.Delta) (serve.UpdateResult, error
 			reqBytes := req.WireBytes()
 			resp, err := f.tr.Update(ctx, f.place.nodes[node], req)
 			if err != nil {
-				f.nc[node].errors.Add(1)
-				f.obs.recordRPCError(node)
+				f.obs.recordUpdateError(node)
 				f.health.failure(node)
 				mu.Lock()
 				if firstErr == nil {
@@ -636,12 +622,7 @@ func (f *Frontend) fanOutUpdate(deltas []serve.Delta) (serve.UpdateResult, error
 				return
 			}
 			f.health.success(node)
-			respBytes := resp.WireBytes()
-			nc := &f.nc[node]
-			nc.updates.Add(1)
-			nc.bytesSent.Add(reqBytes)
-			nc.bytesRecv.Add(respBytes)
-			f.obs.recordUpdate(node, reqBytes, respBytes)
+			f.obs.recordUpdate(node, reqBytes, resp.WireBytes())
 			mu.Lock()
 			out.Invalidations += resp.Invalidations
 			out.ModeledNs = max(out.ModeledNs, resp.ModeledNs) // nodes apply in parallel
@@ -698,27 +679,28 @@ func (f *Frontend) prober() {
 // ClusterStats snapshots the fabric-level supplement: per-node RPC
 // traffic, health, and the modeled interconnect total.
 func (f *Frontend) ClusterStats() ClusterStats {
+	o := f.obs
 	cs := ClusterStats{
 		Nodes:         make([]NodeStats, len(f.place.nodes)),
-		NetworkNs:     f.networkNs.Load(),
-		GatherBatches: f.gatherBatches.Load(),
+		NetworkNs:     o.networkNs.Sum(),
+		GatherBatches: int64(o.batches.Value()),
 	}
 	for i, name := range f.place.nodes {
-		nc := &f.nc[i]
 		cs.Nodes[i] = NodeStats{
 			Node:      name,
-			Lookups:   nc.lookups.Load(),
-			Updates:   nc.updates.Load(),
-			Errors:    nc.errors.Load(),
-			Hedges:    nc.hedges.Load(),
-			Failovers: nc.failovers.Load(),
-			BytesSent: nc.bytesSent.Load(),
-			BytesRecv: nc.bytesRecv.Load(),
+			Lookups:   int64(o.lookups[i].Value()),
+			Updates:   int64(o.updates[i].Value()),
+			Errors:    int64(o.lookupErr[i].Value() + o.updateErr[i].Value()),
+			Hedges:    int64(o.hedges[i].Value()),
+			Failovers: int64(o.failovers[i].Value()),
+			BytesSent: int64(o.bytesOut[i].Value()),
+			BytesRecv: int64(o.bytesIn[i].Value()),
 			Degraded:  f.health.isDown(i),
 		}
-		if band := nc.govBand.Load(); band != 0 {
+		g := &f.gov[i]
+		if band := g.band.Load(); band != 0 {
 			cs.Nodes[i].GovernorBand = governor.Band(band - 1).String()
-			cs.Nodes[i].Pressure = math.Float64frombits(nc.govPressure.Load())
+			cs.Nodes[i].Pressure = math.Float64frombits(g.pressure.Load())
 		}
 	}
 	return cs

@@ -2,7 +2,8 @@
 // hedge/failover counters, gather-latency histograms, the modeled
 // network term and degraded gauges. Instruments are pre-resolved per
 // node at construction, so the gather hot path only touches existing
-// atomics; a nil registry (or nil *clusterObs) ignores everything.
+// atomics. They are also the fabric's one statistics source:
+// ClusterStats reads the same counters /metrics renders.
 package cluster
 
 import (
@@ -14,7 +15,8 @@ type clusterObs struct {
 	// per node, indexed like Config.Nodes:
 	lookups   []*obs.Counter
 	updates   []*obs.Counter
-	errors    []*obs.Counter
+	lookupErr []*obs.Counter
+	updateErr []*obs.Counter
 	hedges    []*obs.Counter
 	failovers []*obs.Counter
 	bytesOut  []*obs.Counter
@@ -27,11 +29,11 @@ type clusterObs struct {
 
 // newClusterObs registers the fabric metric families on reg and
 // resolves each node's children. The degraded gauge is a scrape-time
-// callback over the health tracker. A nil registry returns nil (every
-// method of which is a no-op).
+// callback over the health tracker. A nil reg gets a private registry:
+// the instruments back ClusterStats whether or not they are exported.
 func newClusterObs(reg *obs.Registry, nodes []string, h *health) *clusterObs {
 	if reg == nil {
-		return nil
+		reg = obs.NewRegistry()
 	}
 	o := &clusterObs{}
 	rpcVec := reg.CounterVec("cluster_rpc_total",
@@ -51,7 +53,8 @@ func newClusterObs(reg *obs.Registry, nodes []string, h *health) *clusterObs {
 	for i, n := range nodes {
 		o.lookups = append(o.lookups, rpcVec.With(n, "lookup"))
 		o.updates = append(o.updates, rpcVec.With(n, "update"))
-		o.errors = append(o.errors, errVec.With(n, "lookup"))
+		o.lookupErr = append(o.lookupErr, errVec.With(n, "lookup"))
+		o.updateErr = append(o.updateErr, errVec.With(n, "update"))
 		o.hedges = append(o.hedges, hedgeVec.With(n))
 		o.failovers = append(o.failovers, failVec.With(n))
 		o.bytesOut = append(o.bytesOut, outVec.With(n))
@@ -76,48 +79,26 @@ func newClusterObs(reg *obs.Registry, nodes []string, h *health) *clusterObs {
 }
 
 func (o *clusterObs) recordLookup(node int, reqBytes, respBytes int64) {
-	if o == nil {
-		return
-	}
 	o.lookups[node].Inc()
 	o.bytesOut[node].Add(reqBytes)
 	o.bytesIn[node].Add(respBytes)
 }
 
 func (o *clusterObs) recordUpdate(node int, reqBytes, respBytes int64) {
-	if o == nil {
-		return
-	}
 	o.updates[node].Inc()
 	o.bytesOut[node].Add(reqBytes)
 	o.bytesIn[node].Add(respBytes)
 }
 
-func (o *clusterObs) recordRPCError(node int) {
-	if o == nil {
-		return
-	}
-	o.errors[node].Inc()
-}
+func (o *clusterObs) recordLookupError(node int) { o.lookupErr[node].Inc() }
 
-func (o *clusterObs) recordHedge(node int) {
-	if o == nil {
-		return
-	}
-	o.hedges[node].Inc()
-}
+func (o *clusterObs) recordUpdateError(node int) { o.updateErr[node].Inc() }
 
-func (o *clusterObs) recordFailover(node int) {
-	if o == nil {
-		return
-	}
-	o.failovers[node].Inc()
-}
+func (o *clusterObs) recordHedge(node int) { o.hedges[node].Inc() }
+
+func (o *clusterObs) recordFailover(node int) { o.failovers[node].Inc() }
 
 func (o *clusterObs) recordBatch(gatherWallNs, networkNs float64) {
-	if o == nil {
-		return
-	}
 	o.batches.Inc()
 	o.gatherNs.Observe(gatherWallNs)
 	o.networkNs.Observe(networkNs)

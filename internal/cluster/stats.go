@@ -1,9 +1,6 @@
 package cluster
 
-import (
-	"math"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // NodeStats is one backend's cumulative fabric traffic as seen from the
 // frontend.
@@ -11,7 +8,7 @@ type NodeStats struct {
 	// Node is the backend's name.
 	Node string
 	// Lookups and Updates count completed RPCs; Errors counts failed
-	// ones (after which the call may have failed over).
+	// ones of either kind (after which a lookup may have failed over).
 	Lookups int64
 	Updates int64
 	Errors  int64
@@ -47,28 +44,10 @@ type ClusterStats struct {
 	GatherBatches int64
 }
 
-// nodeCounters is the atomic backing of one node's NodeStats.
-type nodeCounters struct {
-	lookups, updates, errors atomic.Int64
-	hedges, failovers        atomic.Int64
-	bytesSent, bytesRecv     atomic.Int64
-	// govBand holds the wire encoding (governor.Band + 1, 0 = unknown
-	// or ungoverned) of the node's last reported band; govPressure its
-	// pressure as float64 bits.
-	govBand     atomic.Uint32
-	govPressure atomic.Uint64
+// nodeGovernor holds one node's last reported pressure state: band is
+// the wire encoding (governor.Band + 1, 0 = unknown or ungoverned) of
+// its band, pressure its pressure as float64 bits.
+type nodeGovernor struct {
+	band     atomic.Uint32
+	pressure atomic.Uint64
 }
-
-// atomicFloat64 is a float64 total safe for concurrent Add.
-type atomicFloat64 struct{ bits atomic.Uint64 }
-
-func (a *atomicFloat64) Add(v float64) {
-	for {
-		old := a.bits.Load()
-		if a.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			return
-		}
-	}
-}
-
-func (a *atomicFloat64) Load() float64 { return math.Float64frombits(a.bits.Load()) }

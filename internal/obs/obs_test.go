@@ -2,6 +2,8 @@ package obs
 
 import (
 	"math"
+	"math/rand/v2"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -117,6 +119,81 @@ func TestHistogramQuantile(t *testing.T) {
 	h.Observe(1e9) // lands in +Inf, quantile clamps to top finite bound
 	if got := h.Quantile(1.0); got != 512 {
 		t.Errorf("p100 with +Inf observation = %g, want clamp to 512", got)
+	}
+}
+
+// quarterOctave is the serving stack's latency ladder: 1µs to ~1.05s in
+// steps of 2^0.25.
+func quarterOctave() []float64 { return ExpBuckets(1e3, math.Pow(2, 0.25), 81) }
+
+// TestHistogramQuantileAccuracy checks that, on the quarter-octave
+// ladder, every estimated quantile of a known log-normal sample lies
+// within one bucket width of the exact nearest-rank value, and that a
+// merged snapshot estimates the union the same way.
+func TestHistogramQuantileAccuracy(t *testing.T) {
+	r := NewRegistry()
+	a := r.Histogram("test_a", "a", quarterOctave())
+	b := r.Histogram("test_b", "b", quarterOctave())
+	rng := rand.New(rand.NewPCG(1, 2))
+	var all []float64
+	for i := range 20000 {
+		v := math.Exp(math.Log(200e3) + 1.2*rng.NormFloat64()) // median 200µs
+		all = append(all, v)
+		if i%3 == 0 {
+			a.Observe(v)
+		} else {
+			b.Observe(v)
+		}
+	}
+	sort.Float64s(all)
+	merged := a.Snapshot()
+	merged.Merge(b.Snapshot())
+	if merged.Count() != uint64(len(all)) {
+		t.Fatalf("merged count %d, want %d", merged.Count(), len(all))
+	}
+	bounds := quarterOctave()
+	for _, q := range []float64{0.01, 0.1, 0.5, 0.9, 0.95, 0.99, 0.999, 1} {
+		exact := all[int(math.Ceil(q*float64(len(all))))-1]
+		i := sort.SearchFloat64s(bounds, exact) // the bucket holding exact
+		if i == len(bounds) {
+			continue // +Inf: estimates clamp, checked in TestHistogramQuantile
+		}
+		lo := 0.0
+		if i > 0 {
+			lo = bounds[i-1]
+		}
+		width := bounds[i] - lo
+		if got := merged.Quantile(q); math.Abs(got-exact) > width {
+			t.Errorf("q=%g: estimate %g, exact %g: off by more than the bucket width %g", q, got, exact, width)
+		}
+	}
+	if got, top := merged.Quantile(1), all[len(all)-1]; got < top || got > top*math.Pow(2, 0.25) {
+		t.Errorf("Quantile(1) = %g, want the upper bound of the bucket holding the max %g", got, top)
+	}
+}
+
+// TestHistogramBinarySearchInclusive observes every bound of a long
+// ladder, and a value just above each: le stays inclusive.
+func TestHistogramBinarySearchInclusive(t *testing.T) {
+	r := NewRegistry()
+	bounds := quarterOctave()
+	h := r.Histogram("test_ladder", "ladder", bounds)
+	for _, b := range bounds {
+		h.Observe(b)
+		h.Observe(math.Nextafter(b, math.Inf(1)))
+	}
+	h.Observe(0)
+	s := h.Snapshot()
+	if s.counts[0] != 2 {
+		t.Errorf("first bucket holds %d, want 2 (zero and its bound)", s.counts[0])
+	}
+	for i := 1; i < len(bounds); i++ {
+		if s.counts[i] != 2 {
+			t.Fatalf("bucket le=%g holds %d, want 2 (its bound and just above the previous)", bounds[i], s.counts[i])
+		}
+	}
+	if n := s.counts[len(bounds)]; n != 1 {
+		t.Errorf("+Inf bucket holds %d, want 1 (just above the top bound)", n)
 	}
 }
 

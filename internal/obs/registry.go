@@ -135,9 +135,16 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
+	// Binary search for the first bound >= v: le is inclusive, and the
+	// cost stays O(log buckets) on fine-grained ladders.
+	i, hi := 0, len(h.bounds)
+	for i < hi {
+		m := int(uint(i+hi) >> 1)
+		if v > h.bounds[m] {
+			i = m + 1
+		} else {
+			hi = m
+		}
 	}
 	h.counts[i].Add(1)
 	h.count.Add(1)
@@ -166,40 +173,100 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sum.Load())
 }
 
-// Quantile estimates the q-quantile (0 < q <= 1) from the bucket
-// counts by linear interpolation within the located bucket — the same
-// estimate a Prometheus histogram_quantile() gives. Observations in
-// the +Inf bucket clamp to the highest finite bound. Returns 0 when
-// empty.
+// Quantile estimates the q-quantile (0 < q <= 1); see
+// HistogramSnapshot.Quantile. Returns 0 when empty.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0
 	}
-	total := h.count.Load()
-	if total == 0 {
+	return h.Snapshot().Quantile(q)
+}
+
+// Snapshot copies the histogram's bucket counts and sum, so several
+// quantiles read from one consistent state. A nil histogram yields an
+// empty snapshot.
+func (h *Histogram) Snapshot() HistogramSnapshot {
+	if h == nil {
+		return HistogramSnapshot{}
+	}
+	s := HistogramSnapshot{bounds: h.bounds, counts: make([]uint64, len(h.counts))}
+	for i := range h.counts {
+		s.counts[i] = h.counts[i].Load()
+		s.count += s.counts[i]
+	}
+	s.sum = h.Sum()
+	return s
+}
+
+// HistogramSnapshot is a point-in-time copy of one histogram, or the
+// merge of several that share bucket bounds. Its count is the sum of
+// its bucket counts, so its quantiles are monotone in q even when the
+// source was being observed while it was copied.
+type HistogramSnapshot struct {
+	bounds []float64
+	counts []uint64
+	count  uint64
+	sum    float64
+}
+
+// Merge adds o's observations. Both must come from histograms with the
+// same bounds (or be empty).
+func (s *HistogramSnapshot) Merge(o HistogramSnapshot) {
+	if s.counts == nil {
+		s.bounds, s.counts = o.bounds, make([]uint64, len(o.counts))
+	}
+	for i, n := range o.counts {
+		s.counts[i] += n
+	}
+	s.count += o.count
+	s.sum += o.sum
+}
+
+// Count returns the number of observations.
+func (s HistogramSnapshot) Count() uint64 { return s.count }
+
+// Sum returns the sum of the observations.
+func (s HistogramSnapshot) Sum() float64 { return s.sum }
+
+// Mean returns Sum/Count, 0 when empty.
+func (s HistogramSnapshot) Mean() float64 {
+	if s.count == 0 {
 		return 0
 	}
-	rank := q * float64(total)
+	return s.sum / float64(s.count)
+}
+
+// Quantile estimates the q-quantile (0 < q <= 1) from the bucket
+// counts by linear interpolation within the bucket holding the
+// nearest-rank observation — the same estimate a Prometheus
+// histogram_quantile() gives — so it lies within that bucket's width of
+// the exact value. Quantile(1) is the upper bound of the highest
+// occupied bucket. Observations in the +Inf bucket clamp to the highest
+// finite bound. Returns 0 when empty.
+func (s HistogramSnapshot) Quantile(q float64) float64 {
+	if s.count == 0 {
+		return 0
+	}
+	rank := q * float64(s.count)
 	var cum uint64
-	for i := range h.counts {
-		n := h.counts[i].Load()
+	for i, n := range s.counts {
 		if n == 0 {
 			continue
 		}
 		if float64(cum+n) >= rank {
-			if i >= len(h.bounds) { // +Inf bucket
-				return h.bounds[len(h.bounds)-1]
+			if i >= len(s.bounds) { // +Inf bucket
+				return s.bounds[len(s.bounds)-1]
 			}
 			lo := 0.0
 			if i > 0 {
-				lo = h.bounds[i-1]
+				lo = s.bounds[i-1]
 			}
 			frac := (rank - float64(cum)) / float64(n)
-			return lo + (h.bounds[i]-lo)*frac
+			return lo + (s.bounds[i]-lo)*frac
 		}
 		cum += n
 	}
-	return h.bounds[len(h.bounds)-1]
+	return s.bounds[len(s.bounds)-1]
 }
 
 // ExpBuckets returns n exponential bucket bounds: start, start*factor,

@@ -9,9 +9,9 @@ package serve
 // already maintain, rather than duplicated counters.
 
 import (
+	"math"
 	"strconv"
 
-	"updlrm/internal/core"
 	"updlrm/internal/metrics"
 	"updlrm/internal/obs"
 )
@@ -40,9 +40,9 @@ func routerStageValue(bd *metrics.Breakdown, stage string) float64 {
 	return 0
 }
 
-// serveObs is the server's pre-resolved instrument set. A nil *serveObs
-// ignores everything, so an unconfigured server pays one nil check per
-// event.
+// serveObs is the server's pre-resolved instrument set and its one
+// statistics source: every serving event is recorded here once, and
+// Stats reads the same counters and histograms /metrics renders.
 type serveObs struct {
 	admitted [NumClasses]*obs.Counter
 	shed     [NumClasses]*obs.Counter
@@ -76,22 +76,24 @@ type serveObs struct {
 	reprobes       *obs.Counter
 }
 
-// latencyBuckets covers queueing and modeled service latencies: 1µs to
-// ~4s exponentially.
-func latencyBuckets() []float64 { return obs.ExpBuckets(1e3, 4, 11) }
+// latencyBuckets covers queueing and modeled service latencies from
+// 1µs to ~1.05s in quarter-octave steps, so a quantile estimated from
+// the buckets is within 2^0.25 (19%) of the exact value.
+func latencyBuckets() []float64 { return obs.ExpBuckets(1e3, math.Pow(2, 0.25), 81) }
 
 // newServeObs registers the serving metric families on reg and wires
-// the scrape-time gauge callbacks against s. Returns nil on a nil
-// registry.
+// the scrape-time gauge callbacks against s. A nil reg gets a private
+// registry: the instruments back Stats whether or not they are
+// exported.
 func newServeObs(reg *obs.Registry, s *Server) *serveObs {
 	if reg == nil {
-		return nil
+		reg = obs.NewRegistry()
 	}
 	o := &serveObs{}
 	admitted := reg.CounterVec("serve_admitted_total",
 		"Requests admitted to a class queue, by QoS class.", "class")
 	shed := reg.CounterVec("serve_shed_total",
-		"Requests rejected with ErrOverloaded at a full class queue, by QoS class.", "class")
+		"Requests rejected with ErrOverloaded for any cause (full queue, governor pressure, SLO admission), by QoS class.", "class")
 	served := reg.CounterVec("serve_requests_total",
 		"Requests served successfully, by QoS class.", "class")
 	o.errors = reg.Counter("serve_errors_total",
@@ -247,26 +249,16 @@ func newServeObs(reg *obs.Registry, s *Server) *serveObs {
 			}, l, stage)
 		}
 	}
-
-	// Cache and engine instrumentation ride the same registry.
-	s.cache.Instrument(reg, s.numTables)
-	core.InstrumentEngines(reg, s.engines)
 	return o
 }
 
 // recordAdmit counts one successful class-queue admission.
 func (o *serveObs) recordAdmit(c Class) {
-	if o == nil {
-		return
-	}
 	o.admitted[c].Inc()
 }
 
 // recordShed counts one admission-control rejection, by cause.
 func (o *serveObs) recordShed(c Class, reason shedReason) {
-	if o == nil {
-		return
-	}
 	o.shed[c].Inc()
 	switch reason {
 	case shedPressure:
@@ -278,50 +270,32 @@ func (o *serveObs) recordShed(c Class, reason shedReason) {
 
 // observePredWait records one scheduler-published predicted wait.
 func (o *serveObs) observePredWait(c Class, ns float64) {
-	if o == nil {
-		return
-	}
 	o.predWait[c].Observe(ns)
 }
 
 // recordGovTransitions feeds the band-transition counter its diff.
 func (o *serveObs) recordGovTransitions(d int64) {
-	if o == nil {
-		return
-	}
 	o.govTransitions.Add(d)
 }
 
 // recordCacheResizes feeds the cache-resize counter its diff.
 func (o *serveObs) recordCacheResizes(d int64) {
-	if o == nil {
-		return
-	}
 	o.cacheResizes.Add(d)
 }
 
 // recordReprobe counts one completed background re-probe.
 func (o *serveObs) recordReprobe() {
-	if o == nil {
-		return
-	}
 	o.reprobes.Inc()
 }
 
 // recordDispatch counts one routed micro-batch.
 func (o *serveObs) recordDispatch(c Class, shard, size int) {
-	if o == nil {
-		return
-	}
 	o.batches[c][shard].Inc()
 	o.batchSize.Observe(float64(size))
 }
 
 // recordResponse observes one served request's latency series.
 func (o *serveObs) recordResponse(r *Response) {
-	if o == nil {
-		return
-	}
 	c := r.Class
 	o.served[c].Inc()
 	o.modeledNs[c].Observe(r.ModeledNs())
@@ -331,17 +305,11 @@ func (o *serveObs) recordResponse(r *Response) {
 
 // recordErrors counts n failed requests.
 func (o *serveObs) recordErrors(n int) {
-	if o == nil {
-		return
-	}
 	o.errors.Add(int64(n))
 }
 
 // recordUpdate observes one completed update job.
 func (o *serveObs) recordUpdate(rows, inval int64, wallNs, modeledNs float64) {
-	if o == nil {
-		return
-	}
 	o.updApplied.Inc()
 	o.updRows.Add(rows)
 	o.updInval.Add(inval)
@@ -351,8 +319,5 @@ func (o *serveObs) recordUpdate(rows, inval int64, wallNs, modeledNs float64) {
 
 // recordUpdateShed counts one refused update.
 func (o *serveObs) recordUpdateShed() {
-	if o == nil {
-		return
-	}
 	o.updShed.Inc()
 }

@@ -136,10 +136,12 @@ type Config struct {
 	// scheduler dispatch decisions, queue depths, router profiles,
 	// update-lane counters, hot-cache per-table counters and engine
 	// stage histograms. The hot path touches only pre-resolved atomic
-	// instruments (zero added allocations); a nil registry leaves the
-	// server uninstrumented. Each Server needs its own registry — the
-	// families are registered at construction and re-registration
-	// panics.
+	// instruments (zero added allocations). The serving families are
+	// the instruments Stats reads, so they are kept whether or not they
+	// are exported: a nil registry means they are not exported, and the
+	// engines and hot cache are not instrumented. Each Server needs its
+	// own registry — the families are registered at construction and
+	// re-registration panics.
 	Metrics *obs.Registry
 	// Tracer, when set, samples per-request stage-span traces (queue
 	// wait, breakdown stages, reply) into its ring buffer — exposed via
@@ -305,11 +307,21 @@ type Server struct {
 	router  *router
 	wg      sync.WaitGroup
 
-	stats *collector
-	// obs holds the pre-resolved instrument set (nil when Config.Metrics
-	// is unset); tracer samples per-request stage traces (nil disables).
+	// obs holds the pre-resolved instrument set every serving event is
+	// recorded in (exported when Config.Metrics is set); tracer samples
+	// per-request stage traces (nil disables).
 	obs    *serveObs
 	tracer *obs.Tracer
+	// Per-batch totals with no /metrics twin, guarded by totMu: modeled
+	// MRAM traffic, the pipelined workers' serial and overlapped shard
+	// residencies, and the first and last batch completions that
+	// ThroughputRPS spans.
+	totMu           sync.Mutex
+	mramBytes       int64
+	pipeSerialNs    float64
+	pipePipelinedNs float64
+	firstDone       time.Time
+	lastDone        time.Time
 	// cache is the hot-row cache shared by all replicas (nil when
 	// disabled); kept for stats reporting.
 	cache *hotcache.Cache
@@ -412,7 +424,6 @@ func newServer(shards []Shard, shape Shape, engines []*core.Engine, cfg Config) 
 		shardCh:      make([]chan *microBatch, len(shards)),
 		updateCh:     make(chan *updateJob, updateQueueDepth),
 		router:       newRouter(len(shards)),
-		stats:        newCollector(),
 		tracer:       cfg.Tracer,
 	}
 	if len(engines) > 0 {
@@ -437,6 +448,12 @@ func newServer(shards []Shard, shape Shape, engines []*core.Engine, cfg Config) 
 	// goroutine starts: registration locks and allocates, the running
 	// hot path must not.
 	s.obs = newServeObs(cfg.Metrics, s)
+	// Engine and cache instrumentation add per-batch work, so only an
+	// exported registry turns them on.
+	if cfg.Metrics != nil {
+		s.cache.Instrument(cfg.Metrics, s.numTables)
+		core.InstrumentEngines(cfg.Metrics, s.engines)
+	}
 	// Seed each shard's cost profile from its static probes, so the very
 	// first batches already route toward the configuration predicted
 	// cheapest for their size; live observations take over via the EWMA.
@@ -522,7 +539,6 @@ func (s *Server) Predict(ctx context.Context, req Request) (Response, error) {
 	// the classes that must keep serving. One atomic load when no
 	// governor runs.
 	if mask := s.shedMask.Load(); mask&(1<<req.Class) != 0 {
-		s.stats.recordShed(req.Class, shedPressure)
 		s.obs.recordShed(req.Class, shedPressure)
 		return Response{}, Overload(LanePredict)
 	}
@@ -547,7 +563,6 @@ func (s *Server) Predict(ctx context.Context, req Request) (Response, error) {
 				continue
 			}
 			if p.enq.UnixNano()-s.predWaitStamp.Load() < predWaitFreshnessNs {
-				s.stats.recordShed(req.Class, shedSLO)
 				s.obs.recordShed(req.Class, shedSLO)
 				return Response{}, Overload(LanePredict)
 			}
@@ -568,7 +583,6 @@ func (s *Server) Predict(ctx context.Context, req Request) (Response, error) {
 		s.obs.recordAdmit(req.Class)
 	default:
 		s.mu.RUnlock()
-		s.stats.recordShed(req.Class, shedQueueFull)
 		s.obs.recordShed(req.Class, shedQueueFull)
 		return Response{}, Overload(LanePredict)
 	}
@@ -655,12 +669,13 @@ func (s *Server) worker(shard int) {
 		}
 		batch.Reset(&tr, 0, len(pend))
 		res, err := sh.RunBatch(&batch)
+		// Each outcome is recorded before its reply is sent, so a caller
+		// that has its answer finds it counted in Stats.
 		if err != nil {
+			s.obs.recordErrors(len(pend))
 			for _, p := range pend {
 				p.done <- outcome{err: fmt.Errorf("serve: shard %d: %w", shard, err)}
 			}
-			s.stats.recordError(len(pend))
-			s.obs.recordErrors(len(pend))
 			s.router.complete(shard, mb.predNs, metrics.Breakdown{}, 0)
 			putMicroBatch(mb)
 			continue
@@ -698,6 +713,8 @@ func (s *Server) worker(shard int) {
 		if pipelined {
 			residency = pipeLat
 		}
+		s.recordBatch(res.MRAMBytesRead, serialLat, pipeLat)
+		s.router.complete(shard, mb.predNs, res.Breakdown, len(pend))
 		for i, p := range pend {
 			queueNs := float64(dispatch.Sub(p.enq).Nanoseconds())
 			resp := Response{
@@ -710,17 +727,28 @@ func (s *Server) worker(shard int) {
 				PipelinedNs: pipeLat,
 				SpanNs:      queueNs + residency,
 			}
-			p.done <- outcome{resp: resp}
-			s.stats.record(resp)
 			s.obs.recordResponse(&resp)
+			p.done <- outcome{resp: resp}
 			if seq, ok := s.tracer.Sample(); ok {
 				s.traceRequest(&trec, seq, &resp, dispatch)
 			}
 		}
-		s.stats.recordBatch(res.MRAMBytesRead, serialLat, pipeLat)
-		s.router.complete(shard, mb.predNs, res.Breakdown, len(pend))
 		putMicroBatch(mb)
 	}
+}
+
+// recordBatch adds one completed micro-batch to the per-batch totals.
+func (s *Server) recordBatch(mramBytes int64, serialNs, pipelinedNs float64) {
+	now := time.Now()
+	s.totMu.Lock()
+	if s.firstDone.IsZero() {
+		s.firstDone = now
+	}
+	s.lastDone = now
+	s.mramBytes += mramBytes
+	s.pipeSerialNs += serialNs
+	s.pipePipelinedNs += pipelinedNs
+	s.totMu.Unlock()
 }
 
 // traceRequest fills the worker's recycled record with one sampled
@@ -783,7 +811,18 @@ func (s *Server) Close() {
 // in the shared hot-row cache's counters when one is deployed and the
 // router's per-shard profiles.
 func (s *Server) Stats() Stats {
-	st := s.stats.snapshot()
+	st := s.obs.stats()
+	s.totMu.Lock()
+	st.MRAMBytesRead = s.mramBytes
+	st.PipelineSerialNs, st.PipelinePipelinedNs = s.pipeSerialNs, s.pipePipelinedNs
+	span := s.lastDone.Sub(s.firstDone).Seconds()
+	s.totMu.Unlock()
+	if st.PipelinePipelinedNs > 0 {
+		st.PipelineSpeedup = st.PipelineSerialNs / st.PipelinePipelinedNs
+	}
+	if span > 0 {
+		st.ThroughputRPS = float64(st.Requests) / span
+	}
 	st.Shards = s.router.snapshot()
 	for c := Class(0); c < NumClasses; c++ {
 		st.PredictedWaitNs[c] = float64(s.predWait[c].Load())

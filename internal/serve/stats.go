@@ -1,11 +1,6 @@
 package serve
 
-import (
-	"math"
-	"sort"
-	"sync"
-	"time"
-)
+import "updlrm/internal/obs"
 
 // shedReason is why admission refused a request: a full class queue
 // (the depth-only backstop), the governor's pressure ladder, or the SLO
@@ -84,14 +79,16 @@ type Stats struct {
 	Errors int64
 	// Batches is the number of micro-batches dispatched.
 	Batches int64
-	// AvgBatchSize is Requests/Batches — how well the window coalesces.
+	// AvgBatchSize is the mean dispatched micro-batch size — how well
+	// the window coalesces.
 	AvgBatchSize float64
 	// ThroughputRPS is served requests divided by the wall-clock span
 	// from the first dispatch to the last completion.
 	ThroughputRPS float64
-	// Shed is the number of requests rejected with ErrOverloaded at a
-	// full class queue (admission control); they appear in no other
-	// counter. PerClass breaks it down by QoS class.
+	// Shed is the number of requests rejected with ErrOverloaded, for
+	// any cause (full class queue, governor pressure, SLO admission);
+	// they appear in no other counter. PerClass breaks it down by QoS
+	// class and cause.
 	Shed int64
 	// PerClass summarizes each QoS class's traffic separately: request
 	// and shed counts, modeled-latency percentiles and queueing-delay
@@ -102,6 +99,10 @@ type Stats struct {
 	Shards []ShardStats
 	// MeanNs, P50Ns, P95Ns, P99Ns and MaxNs summarize the per-request
 	// modeled latency (queueing + batch breakdown) across all classes.
+	// Every percentile in Stats is an estimate from the quarter-octave
+	// histograms /metrics exports, within one bucket (<= 19%) of the
+	// exact value; MaxNs is the upper bound of the highest occupied
+	// bucket.
 	MeanNs float64
 	P50Ns  float64
 	P95Ns  float64
@@ -201,211 +202,46 @@ func (s Stats) ShedRate() float64 {
 	return float64(s.Shed) / float64(offered)
 }
 
-// classAgg accumulates one class's per-request samples.
-type classAgg struct {
-	latencies    []float64
-	queues       []float64
-	shed         int64
-	shedPressure int64
-	shedSLO      int64
-}
-
-// collector accumulates per-request latencies; Server owns one.
-type collector struct {
-	mu        sync.Mutex
-	latencies []float64 // modeled ns, one per served request
-	queues    []float64 // measured queueing ns, one per served request
-	perClass  [NumClasses]classAgg
-	errors    int64
-	batches   int64
-	mramBytes int64
-	// pipeSerialNs / pipePipelinedNs accumulate the per-batch modeled
-	// shard residencies of the pipelined workers (zero when disabled).
-	pipeSerialNs    float64
-	pipePipelinedNs float64
-	// Update-lane counters: one recordUpdate per completed ApplyDeltas
-	// job (after the last replica applies it).
-	updBatches   int64
-	updRows      int64
-	updShed      int64
-	updInval     int64
-	updModeledNs float64
-	updLats      []float64 // measured wall ns per update job
-	reprobes     int64     // completed background cost re-probes
-	first        time.Time // first recorded completion window start
-	last         time.Time // last recorded completion
-}
-
-func newCollector() *collector { return &collector{} }
-
-func (c *collector) record(r Response) {
-	now := time.Now()
-	c.mu.Lock()
-	if c.first.IsZero() {
-		c.first = now
-	}
-	c.last = now
-	c.latencies = append(c.latencies, r.ModeledNs())
-	c.queues = append(c.queues, r.QueueNs)
-	agg := &c.perClass[r.Class]
-	agg.latencies = append(agg.latencies, r.ModeledNs())
-	agg.queues = append(agg.queues, r.QueueNs)
-	c.mu.Unlock()
-}
-
-func (c *collector) recordBatch(mramBytes int64, pipeSerialNs, pipePipelinedNs float64) {
-	c.mu.Lock()
-	c.batches++
-	c.mramBytes += mramBytes
-	c.pipeSerialNs += pipeSerialNs
-	c.pipePipelinedNs += pipePipelinedNs
-	c.mu.Unlock()
-}
-
-func (c *collector) recordShed(cl Class, reason shedReason) {
-	c.mu.Lock()
-	agg := &c.perClass[cl]
-	agg.shed++
-	switch reason {
-	case shedPressure:
-		agg.shedPressure++
-	case shedSLO:
-		agg.shedSLO++
-	}
-	c.mu.Unlock()
-}
-
-func (c *collector) recordReprobe() {
-	c.mu.Lock()
-	c.reprobes++
-	c.mu.Unlock()
-}
-
-func (c *collector) recordError(n int) {
-	c.mu.Lock()
-	c.errors += int64(n)
-	c.mu.Unlock()
-}
-
-func (c *collector) recordUpdate(rows int64, wallNs, modeledNs float64, inval int64) {
-	c.mu.Lock()
-	c.updBatches++
-	c.updRows += rows
-	c.updInval += inval
-	c.updModeledNs += modeledNs
-	c.updLats = append(c.updLats, wallNs)
-	c.mu.Unlock()
-}
-
-func (c *collector) recordUpdateShed() {
-	c.mu.Lock()
-	c.updShed++
-	c.mu.Unlock()
-}
-
-// summarize fills mean/percentile fields from an unsorted sample set.
-// It copies before sorting: callers hand it live collector slices whose
-// backing arrays concurrent recorders may still be appending to, and
-// sorting those in place would scramble element order under a
-// concurrent append's reallocation copy. Reading a captured header is
-// safe — the collector only ever appends (writes at index >= the
-// captured len, or into a fresh backing array), never mutates existing
-// elements.
-func summarize(lat []float64) (mean, p50, p95, p99, maxv float64) {
-	if len(lat) == 0 {
-		return 0, 0, 0, 0, 0
-	}
-	lat = append([]float64(nil), lat...)
-	sort.Float64s(lat)
-	var sum float64
-	for _, v := range lat {
-		sum += v
-	}
-	return sum / float64(len(lat)),
-		Percentile(lat, 0.50), Percentile(lat, 0.95), Percentile(lat, 0.99),
-		lat[len(lat)-1]
-}
-
-func (c *collector) snapshot() Stats {
-	c.mu.Lock()
-	// Capture slice headers only (O(1) under the lock): the collector is
-	// append-only, so elements below the captured len never change and
-	// summarize copies before it sorts. Stats() under sustained traffic
-	// therefore costs the recorders one short critical section, not a
-	// full O(n) copy.
-	lat := c.latencies
-	queues := c.queues
-	var perClass [NumClasses]classAgg
-	for i := range c.perClass {
-		perClass[i] = classAgg{
-			latencies:    c.perClass[i].latencies,
-			queues:       c.perClass[i].queues,
-			shed:         c.perClass[i].shed,
-			shedPressure: c.perClass[i].shedPressure,
-			shedSLO:      c.perClass[i].shedSLO,
-		}
-	}
+// stats reads the instrument set into the counting and latency fields
+// of Stats. Percentiles are histogram estimates (see latencyBuckets):
+// within one quarter-octave bucket of the exact value.
+func (o *serveObs) stats() Stats {
 	st := Stats{
-		Requests:            int64(len(c.latencies)),
-		Errors:              c.errors,
-		Batches:             c.batches,
-		MRAMBytesRead:       c.mramBytes,
-		PipelineSerialNs:    c.pipeSerialNs,
-		PipelinePipelinedNs: c.pipePipelinedNs,
-		UpdateBatches:       c.updBatches,
-		UpdatedRows:         c.updRows,
-		UpdateShed:          c.updShed,
-		UpdateInvalidations: c.updInval,
-		UpdateModeledNs:     c.updModeledNs,
-		Reprobes:            c.reprobes,
+		Errors:              int64(o.errors.Value()),
+		Reprobes:            int64(o.reprobes.Value()),
+		UpdateBatches:       int64(o.updApplied.Value()),
+		UpdatedRows:         int64(o.updRows.Value()),
+		UpdateShed:          int64(o.updShed.Value()),
+		UpdateInvalidations: int64(o.updInval.Value()),
 	}
-	updLats := c.updLats
-	first, last := c.first, c.last
-	c.mu.Unlock()
-
-	for i := range perClass {
-		cs := &st.PerClass[i]
-		cs.Requests = int64(len(perClass[i].latencies))
-		cs.Shed = perClass[i].shed
-		cs.ShedPressure = perClass[i].shedPressure
-		cs.ShedSLO = perClass[i].shedSLO
-		st.Shed += perClass[i].shed
-		cs.MeanNs, cs.P50Ns, cs.P95Ns, cs.P99Ns, cs.MaxNs = summarize(perClass[i].latencies)
-		_, cs.QueueP50Ns, cs.QueueP95Ns, cs.QueueP99Ns, _ = summarize(perClass[i].queues)
+	var modeled, queue obs.HistogramSnapshot
+	for c := Class(0); c < NumClasses; c++ {
+		cs := &st.PerClass[c]
+		cs.Requests = int64(o.served[c].Value())
+		cs.Shed = int64(o.shed[c].Value())
+		cs.ShedPressure = int64(o.govShed[c].Value())
+		cs.ShedSLO = int64(o.sloShed[c].Value())
+		st.Requests += cs.Requests
+		st.Shed += cs.Shed
+		m, q := o.modeledNs[c].Snapshot(), o.queueNs[c].Snapshot()
+		cs.MeanNs, cs.P50Ns, cs.P95Ns, cs.P99Ns, cs.MaxNs = latencySummary(m)
+		_, cs.QueueP50Ns, cs.QueueP95Ns, cs.QueueP99Ns, _ = latencySummary(q)
+		modeled.Merge(m)
+		queue.Merge(q)
 	}
-	if st.Batches > 0 {
-		st.AvgBatchSize = float64(st.Requests) / float64(st.Batches)
-	}
-	if st.PipelinePipelinedNs > 0 {
-		st.PipelineSpeedup = st.PipelineSerialNs / st.PipelinePipelinedNs
-	}
-	if len(updLats) > 0 {
-		_, st.UpdateP50Ns, _, st.UpdateP99Ns, _ = summarize(updLats)
-	}
-	if len(lat) == 0 {
-		return st
-	}
-	st.MeanNs, st.P50Ns, st.P95Ns, st.P99Ns, st.MaxNs = summarize(lat)
-	st.AvgQueueNs, st.QueueP50Ns, st.QueueP95Ns, st.QueueP99Ns, _ = summarize(queues)
-	if span := last.Sub(first).Seconds(); span > 0 {
-		st.ThroughputRPS = float64(len(lat)) / span
-	}
+	st.MeanNs, st.P50Ns, st.P95Ns, st.P99Ns, st.MaxNs = latencySummary(modeled)
+	st.AvgQueueNs, st.QueueP50Ns, st.QueueP95Ns, st.QueueP99Ns, _ = latencySummary(queue)
+	batches := o.batchSize.Snapshot()
+	st.Batches = int64(batches.Count())
+	st.AvgBatchSize = batches.Mean()
+	upd := o.updWallNs.Snapshot()
+	st.UpdateP50Ns, st.UpdateP99Ns = upd.Quantile(0.50), upd.Quantile(0.99)
+	st.UpdateModeledNs = o.updModelNs.Sum()
 	return st
 }
 
-// Percentile returns the q-quantile (0 < q <= 1) of sorted by the
-// nearest-rank method. It panics if sorted is empty; a q outside (0,1]
-// clamps to the extremes.
-func Percentile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		panic("serve: percentile of empty set")
-	}
-	rank := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
+// latencySummary returns a latency histogram's mean, p50, p95, p99 and max
+// (the upper bound of the highest occupied bucket).
+func latencySummary(h obs.HistogramSnapshot) (mean, p50, p95, p99, maxv float64) {
+	return h.Mean(), h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99), h.Quantile(1)
 }
